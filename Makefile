@@ -6,9 +6,9 @@ FUZZ_TARGETS := FuzzDecodePathLog FuzzDecodePathLogSalvage \
 
 .PHONY: ci lint vet fmt-check build test fuzz-smoke bench bench-baseline \
 	bench-compare bench-gate vet-examples races-examples race-obs \
-	metrics-smoke timeline-smoke serve-smoke
+	race-record metrics-smoke timeline-smoke serve-smoke
 
-ci: lint build test vet-examples races-examples fuzz-smoke race-obs metrics-smoke timeline-smoke serve-smoke bench-gate
+ci: lint build test vet-examples races-examples fuzz-smoke race-obs race-record metrics-smoke timeline-smoke serve-smoke bench-gate
 
 lint: vet fmt-check
 
@@ -84,6 +84,15 @@ fuzz-smoke:
 # the full `test` target is skipped.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/parsolve/...
+
+# Race-detector pass over the parallel bug hunt: the GOMAXPROCS 1-vs-4
+# determinism test over the eleven benchmarks, the vm tests (action
+# order, allocation-free step, stop signal) and the hunt's deadline and
+# cancellation tests.
+race-record:
+	$(GO) test -race -count=1 -run '^TestHuntDeterminism$$' ./internal/bench/
+	$(GO) test -race -count=1 ./internal/vm/
+	$(GO) test -race -count=1 -run '^TestRecord(DeadlineInterrupts|CtxCancelInterrupts|DeadlineStopsRunningSeed)$$' ./internal/core/
 
 # End-to-end metrics smoke: reproduce one benchmark with -metrics-json and
 # require the five pipeline-stage spans in the report via `clap stats`.

@@ -825,7 +825,8 @@ func reproduceSource(src string, f flags) error {
 }
 
 // cmdStats pretty-prints a -metrics-json report: the span tree with
-// durations and attributes, then the counters and gauges sorted by name.
+// durations and attributes, then the counters and gauges sorted by name,
+// then the bug hunt's cost per instruction.
 // With -require a,b,c it exits nonzero unless every named span is present,
 // which is how `make ci` smoke-tests the metrics pipeline.
 func cmdStats(rest []string, f flags) error {
@@ -841,6 +842,9 @@ func cmdStats(rest []string, f flags) error {
 		return err
 	}
 	rep.Render(os.Stdout)
+	if line := huntRate(rep); line != "" {
+		fmt.Printf("\n%s\n", line)
+	}
 	if f.require != "" {
 		var missing []string
 		for _, name := range strings.Split(f.require, ",") {
@@ -854,6 +858,22 @@ func cmdStats(rest []string, f flags) error {
 		}
 	}
 	return nil
+}
+
+// huntRate renders the bug hunt's interpreter cost: the record span's
+// wall time over the instructions of every committed seed, as is and
+// multiplied by the workers that shared it. It returns "" for a report
+// without a hunt.
+func huntRate(rep *obs.Report) string {
+	sp := rep.Span("record")
+	instrs := rep.Counters["record.hunt.instructions"]
+	if sp == nil || instrs == 0 {
+		return ""
+	}
+	workers := max(rep.Gauges["record.workers"], 1)
+	ns := float64(sp.DurNs) / float64(instrs)
+	return fmt.Sprintf("record hunt: %d instructions in %v on %d workers: %.1f ns/instruction wall, %.1f per worker",
+		instrs, time.Duration(sp.DurNs).Round(time.Microsecond), workers, ns, ns*float64(workers))
 }
 
 // resolveTarget loads the single program argument shared by the timeline

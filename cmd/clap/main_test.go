@@ -335,6 +335,9 @@ func TestMetricsReportAndStats(t *testing.T) {
 	if !bytes.Equal(one, two) {
 		t.Errorf("clap stats output is nondeterministic:\n--- first\n%s--- second\n%s", one, two)
 	}
+	if !bytes.Contains(one, []byte("record hunt: ")) || !bytes.Contains(one, []byte(" ns/instruction wall")) {
+		t.Errorf("clap stats does not print the hunt's ns/instruction:\n%s", one)
+	}
 	if out, err := exec.Command(bin, "stats", metrics, "-require", "no.such.span").CombinedOutput(); err == nil {
 		t.Errorf("stats -require accepted a missing span:\n%s", out)
 	}

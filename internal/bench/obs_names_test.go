@@ -41,6 +41,9 @@ func TestObsNamesStable(t *testing.T) {
 			"stage.bench.cnf.ns",
 			// Daemon fleet metrics.
 			"clapd.queue.depth", "clapd.workers.busy", "clapd.job.ns",
+			// Bug-hunt throughput: instructions over all committed seeds
+			// and the worker count they ran on.
+			"record.hunt.instructions", "record.workers",
 		} {
 			if !obs.IsStable(name) {
 				t.Errorf("%q missing from the stable-name list", name)
@@ -143,6 +146,12 @@ func TestObsNamesStable(t *testing.T) {
 				if s.Hists["stage."+stage+".ns"].Count == 0 {
 					t.Errorf("stage.%s.ns latency histogram is empty after a full run", stage)
 				}
+			}
+			if hunt, win := counters["record.hunt.instructions"], counters["record.instructions"]; win == 0 || hunt < win {
+				t.Errorf("record.hunt.instructions = %d, want at least the winner's record.instructions = %d > 0", hunt, win)
+			}
+			if gauges["record.workers"] < 1 {
+				t.Errorf("record.workers = %d, want at least 1", gauges["record.workers"])
 			}
 		})
 	}

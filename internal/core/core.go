@@ -72,7 +72,9 @@ type RecordOptions struct {
 type LevelStats struct {
 	// Chaos is the scheduler chaos level swept.
 	Chaos int
-	// Seeds is how many schedules were executed at this level.
+	// Seeds is how many schedules the hunt committed at this level: the
+	// serial loop's count. A parallel hunt may also have started seeds
+	// past the level's cutoff; those are cancelled and not counted.
 	Seeds int
 	// Livelocked counts runs that hit the action budget without failing.
 	Livelocked int
@@ -215,47 +217,52 @@ func Record(prog *ir.Program, opts RecordOptions) (*Recording, error) {
 	}
 	sp := opts.Obs.Root().Start("record")
 	defer endStage(opts.Obs.Reg(), "record", sp)
+	h := startHunt(prog, opts, ladder, sharing, static, paths, deadline)
+	defer h.stop()
 	var levels []LevelStats
+	var huntInstrs int64
 	interrupted := false
 hunt:
-	for _, chaos := range ladder {
-		attempt := opts
-		attempt.Chaos = chaos
+	for li, chaos := range ladder {
 		ls := LevelStats{Chaos: chaos}
 		lsp := sp.Start("record.level")
 		lsp.SetInt("chaos", int64(chaos))
 		found := 0
-		for s := opts.Seed; s < opts.Seed+opts.SeedLimit && found < perLevel; s++ {
-			if huntInterrupted(opts.Ctx, deadline) {
+		for off := int64(0); off < opts.SeedLimit && found < perLevel; off++ {
+			r := h.await(li, off)
+			if errors.Is(r.err, vm.ErrInterrupted) {
 				interrupted = true
 				levels = append(levels, ls)
 				endLevel(lsp, ls)
 				break hunt
 			}
 			ls.Seeds++
-			rec, err := recordSeed(prog, s, attempt, sharing, static, paths)
-			if err != nil {
-				if errors.Is(err, vm.ErrActionBudget) {
+			huntInstrs += r.instrs
+			if r.err != nil {
+				if errors.Is(r.err, vm.ErrActionBudget) {
 					ls.Livelocked++
 					continue // a livelocked seed is just an uninteresting run
 				}
-				lsp.SetAttr("err", err.Error())
+				lsp.SetAttr("err", r.err.Error())
 				endLevel(lsp, ls)
-				return nil, err
+				return nil, r.err
 			}
-			if rec.Failure == nil || rec.Failure.Kind != vm.FailAssert {
+			if r.rec == nil {
 				continue
 			}
 			ls.Failures++
 			found++
-			if best == nil || rec.Run.VisibleEvents < best.Run.VisibleEvents {
-				best = rec
+			if found == perLevel {
+				h.cutLevel(li, off)
+			}
+			if best == nil || r.rec.Run.VisibleEvents < best.Run.VisibleEvents {
+				best = r.rec
 			}
 		}
 		levels = append(levels, ls)
 		endLevel(lsp, ls)
 	}
-	emitRecordCounters(opts.Obs.Reg(), levels, best)
+	emitRecordCounters(opts.Obs.Reg(), levels, best, huntInstrs, h.workers)
 	if best != nil {
 		// An interrupted hunt that already has a failing run degrades
 		// gracefully: the candidate pool is merely smaller.
@@ -299,7 +306,12 @@ func RecordSeed(prog *ir.Program, seed int64, opts RecordOptions) (*Recording, e
 	if err != nil {
 		return nil, err
 	}
-	return recordSeed(prog, seed, opts, sharing, static, paths)
+	var demoted []bool
+	if !opts.NoDemote {
+		demoted = demotedGlobals(sharing, static)
+	}
+	rec, _, err := runSeed(prog, seed, opts, sharing, static, paths, demoted, vm.NewRandomScheduler(seed), nil)
+	return rec, err
 }
 
 // demotedGlobals marks the shared globals whose accesses the recorder may
@@ -320,19 +332,18 @@ func demotedGlobals(sharing *escape.Result, static *staticanalysis.Result) []boo
 	return out
 }
 
-// recordSeed is RecordSeed with the per-program analyses precomputed.
-func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escape.Result, static *staticanalysis.Result, paths []*ballarus.FuncPaths) (*Recording, error) {
+// runSeed is one recording attempt with the per-program analyses
+// precomputed, on sched reset to seed. It also reports the instructions
+// the attempt executed, including when the run ends in an error; stop is
+// vm.Config.Stop.
+func runSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escape.Result, static *staticanalysis.Result, paths []*ballarus.FuncPaths, demoted []bool, sched *vm.RandomScheduler, stop func() bool) (*Recording, int64, error) {
 	pathRec := &vm.PathRecorder{Paths: paths, Log: &trace.PathLog{}}
-	sched := vm.NewRandomScheduler(seed)
+	sched.Reset(seed)
 	if opts.Chaos > 0 {
 		sched.Chaos = opts.Chaos
 	}
 	if opts.DrainBias > 0 {
 		sched.DrainBias = opts.DrainBias
-	}
-	var demoted []bool
-	if !opts.NoDemote {
-		demoted = demotedGlobals(sharing, static)
 	}
 	machine, err := vm.New(prog, vm.Config{
 		Model:        opts.Model,
@@ -342,13 +353,14 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escap
 		Shared:       sharing.Shared,
 		Demoted:      demoted,
 		PathRecorder: pathRec,
+		Stop:         stop,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := machine.Run()
 	if err != nil {
-		return nil, err
+		return nil, machine.Instructions(), err
 	}
 	return &Recording{
 		Prog:       prog,
@@ -365,7 +377,7 @@ func recordSeed(prog *ir.Program, seed int64, opts RecordOptions, sharing *escap
 		DrainBias:  sched.DrainBias,
 		MaxActions: opts.MaxActions,
 		Demoted:    demoted,
-	}, nil
+	}, res.Instructions, nil
 }
 
 // LogSize returns the encoded size of the CLAP path log in bytes.

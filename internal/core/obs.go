@@ -25,13 +25,16 @@ func b2i(b bool) int64 {
 }
 
 // emitRecordCounters publishes the bug hunt's accounting: the per-level
-// sweep totals plus, when a failing run was found, the size of the winning
+// sweep totals, the instructions run by all committed seeds and the worker
+// count, plus, when a failing run was found, the size of the winning
 // recording.
-func emitRecordCounters(reg *obs.Registry, levels []LevelStats, rec *Recording) {
+func emitRecordCounters(reg *obs.Registry, levels []LevelStats, rec *Recording, huntInstrs int64, workers int) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("record.levels").Add(int64(len(levels)))
+	reg.Counter("record.hunt.instructions").Add(huntInstrs)
+	reg.Gauge("record.workers").Set(int64(workers))
 	for _, l := range levels {
 		reg.Counter("record.seeds").Add(int64(l.Seeds))
 		reg.Counter("record.livelocked").Add(int64(l.Livelocked))

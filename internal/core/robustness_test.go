@@ -296,3 +296,47 @@ func TestRunPortfolioDirect(t *testing.T) {
 		t.Fatalf("trail: %v", attempts)
 	}
 }
+
+// spinSrc never fails and never finishes: both workers spin on a flag no
+// one sets, so every seed runs until its action budget (50 M actions,
+// tens of seconds) unless something stops the running seed.
+const spinSrc = `
+int flag;
+func worker() {
+	while (flag == 0) {
+		yield();
+	}
+}
+func main() {
+	int h1 = spawn worker();
+	int h2 = spawn worker();
+	join(h1);
+	join(h2);
+	assert(flag == 0, "unreachable");
+}
+`
+
+// TestRecordDeadlineStopsRunningSeed: the deadline reaches into a seed
+// that is already running, so a hunt whose seeds spin returns an
+// interrupted *NoFailureError promptly instead of after the action budget.
+func TestRecordDeadlineStopsRunningSeed(t *testing.T) {
+	prog, err := Compile(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Record(prog, RecordOptions{Model: vm.SC, SeedLimit: 100, Deadline: 200 * time.Millisecond})
+	elapsed := time.Since(start)
+	var nf *NoFailureError
+	if !errors.As(err, &nf) || !nf.Interrupted {
+		t.Fatalf("want an interrupted *NoFailureError, got %v", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("deadline 200ms, hunt ran %v", elapsed)
+	}
+	for _, l := range nf.Levels {
+		if l.Livelocked != 0 {
+			t.Fatalf("an interrupted seed was counted as livelocked: %v", err)
+		}
+	}
+}

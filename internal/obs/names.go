@@ -12,14 +12,16 @@ package obs
 // a solve runs.
 var StableNames = []string{
 	// Record phase (core.Record, per-level detail on the record spans).
-	"record.seeds",      // schedules executed across all chaos levels
-	"record.livelocked", // runs that hit the action budget without failing
-	"record.failures",   // runs that ended in an assertion failure
-	"record.levels",     // chaos levels swept
-	"record.events",     // path-log events of the winning recording
-	"record.log.bytes",  // encoded CLAP log size
-	"record.saps",       // shared access points of the winning run
-	"record.instructions",
+	"record.seeds",             // committed schedules across all chaos levels
+	"record.livelocked",        // runs that hit the action budget without failing
+	"record.failures",          // runs that ended in an assertion failure
+	"record.levels",            // chaos levels swept
+	"record.events",            // path-log events of the winning recording
+	"record.log.bytes",         // encoded CLAP log size
+	"record.saps",              // shared access points of the winning run
+	"record.instructions",      // instructions of the winning run
+	"record.hunt.instructions", // instructions over all committed seeds
+	"record.workers",           // gauge: hunt workers (GOMAXPROCS, capped by the seeds)
 	"record.branches",
 
 	// Constraint system size (constraints.Stats).

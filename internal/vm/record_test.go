@@ -267,8 +267,8 @@ func TestStoreBufferUnit(t *testing.T) {
 	if v, ok := b.lookup(1); !ok || v != 11 {
 		t.Fatalf("lookup(1) = %d,%v; want 11 (youngest wins)", v, ok)
 	}
-	if got := b.drainableAddrs(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("TSO drainable = %v, want [1] (head only)", got)
+	if got := b.appendDrains(nil, 3); fmt.Sprint(got) != "[drain(t3,@1)]" {
+		t.Fatalf("TSO drainable = %v, want [drain(t3,@1)] (head only)", got)
 	}
 	if _, ok := b.drain(2, mem); ok {
 		t.Fatal("TSO must not drain out of order")
@@ -288,8 +288,14 @@ func TestStoreBufferUnit(t *testing.T) {
 	p.push(1, 1)
 	p.push(2, 2)
 	p.push(1, 3)
-	if got := p.drainableAddrs(); fmt.Sprint(got) != "[1 2]" {
-		t.Fatalf("PSO drainable = %v, want [1 2]", got)
+	if got := p.appendDrains(nil, 3); fmt.Sprint(got) != "[drain(t3,@1) drain(t3,@2)]" {
+		t.Fatalf("PSO drainable = %v, want [drain(t3,@1) drain(t3,@2)]", got)
+	}
+	// Drains append after what acts already holds, and the append
+	// leaves that prefix alone.
+	prefix := []Action{{Kind: ActRun, Thread: 0}, {Kind: ActDrain, Thread: 2, Addr: 9}}
+	if got := p.appendDrains(prefix, 3); fmt.Sprint(got) != "[run(t0) drain(t2,@9) drain(t3,@1) drain(t3,@2)]" {
+		t.Fatalf("PSO appendDrains after a prefix = %v", got)
 	}
 	if v, ok := p.drain(2, mem); !ok || v != 2 {
 		t.Fatalf("PSO drain(2) = %d,%v", v, ok)

@@ -27,41 +27,49 @@ type RandomScheduler struct {
 	hasLast   bool
 }
 
+// Default RandomScheduler tuning: moderate switching.
+const (
+	defaultChaos     = 40
+	defaultDrainBias = 30
+)
+
 // NewRandomScheduler returns a seeded random scheduler with moderate
 // switching.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{Rng: rand.New(rand.NewSource(seed)), Chaos: 40, DrainBias: 30}
+	return &RandomScheduler{Rng: rand.New(rand.NewSource(seed)), Chaos: defaultChaos, DrainBias: defaultDrainBias}
 }
 
-// Pick implements Scheduler.
+// Reset makes s pick exactly as NewRandomScheduler(seed) would, Chaos and
+// DrainBias included, but re-seeds s's generator instead of allocating a
+// new one. A bug hunt resets one scheduler per worker for every seed.
+func (s *RandomScheduler) Reset(seed int64) {
+	s.Rng.Seed(seed)
+	*s = RandomScheduler{Rng: s.Rng, Chaos: defaultChaos, DrainBias: defaultDrainBias}
+}
+
+// Pick implements Scheduler. It relies on EnabledActions' order (run
+// actions before drains) to split the list without allocating.
 func (s *RandomScheduler) Pick(v *VM, actions []Action) int {
+	k := 0
+	for k < len(actions) && actions[k].Kind != ActDrain {
+		k++
+	}
+	runs, drains := actions[:k], actions[k:]
 	// Optionally prefer a drain action so buffered stores stay pending
 	// across other threads' operations.
-	var drains []int
-	var runs []int
-	for i, a := range actions {
-		if a.Kind == ActDrain {
-			drains = append(drains, i)
-		} else {
-			runs = append(runs, i)
-		}
-	}
 	if len(drains) > 0 && (len(runs) == 0 || s.Rng.Intn(100) < s.DrainBias) {
-		return drains[s.Rng.Intn(len(drains))]
-	}
-	if len(runs) == 0 {
-		return drains[s.Rng.Intn(len(drains))]
+		return k + s.Rng.Intn(len(drains))
 	}
 	// Stickiness: continue the last thread unless chaos strikes.
 	if s.hasLast && s.Rng.Intn(100) >= s.Chaos {
-		for _, i := range runs {
-			if actions[i].Thread == s.last {
+		for i, a := range runs {
+			if a.Thread == s.last {
 				return i
 			}
 		}
 	}
-	i := runs[s.Rng.Intn(len(runs))]
-	s.last = actions[i].Thread
+	i := s.Rng.Intn(len(runs))
+	s.last = runs[i].Thread
 	s.hasLast = true
 	return i
 }

@@ -1,7 +1,5 @@
 package vm
 
-import "sort"
-
 // bufEntry is one pending store.
 type bufEntry struct {
 	addr int
@@ -46,26 +44,34 @@ func (b *storeBuffer) lookup(addr int) (int64, bool) {
 	return 0, false
 }
 
-// drainableAddrs lists the addresses whose oldest pending store may drain
-// next, in ascending order. TSO: only the head entry's address. PSO: the
-// oldest entry of every address.
-func (b *storeBuffer) drainableAddrs() []int {
+// appendDrains appends t's enabled drain actions to acts, one per address
+// whose oldest pending store may drain next, in ascending address order.
+// TSO: only the head entry's address. PSO: the oldest entry of every
+// address.
+func (b *storeBuffer) appendDrains(acts []Action, t ThreadID) []Action {
 	if len(b.entries) == 0 {
-		return nil
+		return acts
 	}
 	if b.model == TSO {
-		return []int{b.entries[0].addr}
+		return append(acts, Action{Kind: ActDrain, Thread: t, Addr: b.entries[0].addr})
 	}
-	seen := map[int]bool{}
-	var addrs []int
+	// Insert each distinct address into its sorted place in the appended
+	// tail: buffers hold a handful of stores, so this beats a sort and
+	// allocates nothing once acts has grown.
+	start := len(acts)
 	for _, e := range b.entries {
-		if !seen[e.addr] {
-			seen[e.addr] = true
-			addrs = append(addrs, e.addr)
+		i := len(acts)
+		for i > start && acts[i-1].Addr > e.addr {
+			i--
 		}
+		if i > start && acts[i-1].Addr == e.addr {
+			continue
+		}
+		acts = append(acts, Action{})
+		copy(acts[i+1:], acts[i:])
+		acts[i] = Action{Kind: ActDrain, Thread: t, Addr: e.addr}
 	}
-	sort.Ints(addrs)
-	return addrs
+	return acts
 }
 
 // drain makes the oldest pending store to addr visible in mem and removes

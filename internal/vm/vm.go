@@ -23,7 +23,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/trace"
@@ -234,7 +233,17 @@ type Config struct {
 	// next scheduled). It models blocking record/replay instrumentation —
 	// LEAP's per-variable access-vector waits (internal/leap).
 	GateAccess func(t ThreadID, g ir.GlobalID, isWrite bool) bool
+	// Stop, if non-nil, is polled before the first action and then every
+	// stopPollInterval actions; when it reports true the run ends with
+	// ErrInterrupted. Bug hunts use it to honour their deadline and
+	// cancellation and to stop seeds they no longer need.
+	Stop func() bool
 }
+
+// stopPollInterval is how many actions pass between Config.Stop polls: a
+// poll costs a function call (and a bug hunt's a clock read), an action
+// tens of nanoseconds, so a stop lands within well under a millisecond.
+const stopPollInterval = 4096
 
 // Result summarizes a run.
 type Result struct {
@@ -266,6 +275,9 @@ type Result struct {
 // uninteresting and move on.
 var ErrActionBudget = fmt.Errorf("vm: exceeded the action budget (livelock?)")
 
+// ErrInterrupted reports a run that Config.Stop ended early.
+var ErrInterrupted = fmt.Errorf("vm: run interrupted")
+
 // VM is a single run's machine state.
 type VM struct {
 	prog *ir.Program
@@ -286,6 +298,8 @@ type VM struct {
 	output       []int64
 	failure      *Failure
 	actionCount  int
+	// acts is EnabledActions' scratch buffer.
+	acts []Action
 }
 
 type mutexState struct {
@@ -383,6 +397,10 @@ func (v *VM) Prog() *ir.Program { return v.prog }
 // Threads returns the current thread table.
 func (v *VM) Threads() []*Thread { return v.threads }
 
+// Instructions reports how many IR instructions the run has executed so
+// far; unlike Result.Instructions it is also available after Run fails.
+func (v *VM) Instructions() int64 { return v.instructions }
+
 // Mem returns the current memory image (without store-buffer contents).
 func (v *VM) Mem() []int64 { return v.mem }
 
@@ -399,6 +417,9 @@ func (v *VM) Run() (*Result, error) {
 			}
 			v.failure = &Failure{Kind: FailDeadlock, Msg: v.describeBlocked()}
 			break
+		}
+		if v.conf.Stop != nil && v.actionCount%stopPollInterval == 0 && v.conf.Stop() {
+			return nil, fmt.Errorf("%w after %d actions", ErrInterrupted, v.actionCount)
 		}
 		v.actionCount++
 		if v.actionCount > v.conf.MaxActions {
@@ -478,31 +499,26 @@ func (v *VM) describeBlocked() string {
 
 // EnabledActions enumerates the schedulable actions in a deterministic
 // order: thread run actions by thread id, then drain actions by thread id
-// and address.
+// and address. Nothing sorts the list; it comes out in that order because
+// threads are visited in id order and each store buffer appends its own
+// drains by address.
+//
+// The returned slice is the VM's scratch buffer, reused by the next call:
+// it stays valid only until then, so a caller that keeps actions must copy
+// them.
 func (v *VM) EnabledActions() []Action {
-	var acts []Action
+	acts := v.acts[:0]
 	for _, t := range v.threads {
 		if v.canRun(t) {
 			acts = append(acts, Action{Kind: ActRun, Thread: t.ID})
 		}
 	}
 	for _, t := range v.threads {
-		if t.buf == nil {
-			continue
-		}
-		for _, addr := range t.buf.drainableAddrs() {
-			acts = append(acts, Action{Kind: ActDrain, Thread: t.ID, Addr: addr})
+		if t.buf != nil {
+			acts = t.buf.appendDrains(acts, t.ID)
 		}
 	}
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].Kind != acts[j].Kind {
-			return acts[i].Kind < acts[j].Kind
-		}
-		if acts[i].Thread != acts[j].Thread {
-			return acts[i].Thread < acts[j].Thread
-		}
-		return acts[i].Addr < acts[j].Addr
-	})
+	v.acts = acts
 	return acts
 }
 
