@@ -4,11 +4,11 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS := FuzzDecodePathLog FuzzDecodePathLogSalvage \
 	FuzzDecodeAccessVectorLog FuzzDecodeSyncOrderLog
 
-.PHONY: ci lint vet fmt-check build test fuzz-smoke bench bench-baseline \
+.PHONY: ci lint vet fmt-check build test fuzz-smoke bench \
 	bench-compare bench-gate vet-examples races-examples race-obs \
-	race-record metrics-smoke timeline-smoke serve-smoke
+	race-record race-solve metrics-smoke timeline-smoke serve-smoke
 
-ci: lint build test vet-examples races-examples fuzz-smoke race-obs race-record metrics-smoke timeline-smoke serve-smoke bench-gate
+ci: lint build test vet-examples races-examples fuzz-smoke race-obs race-record race-solve metrics-smoke timeline-smoke serve-smoke bench-gate
 
 lint: vet fmt-check
 
@@ -48,14 +48,9 @@ test:
 
 # Machine-readable per-stage perf snapshot over the paper's eleven
 # benchmarks (BENCH_<date>T<hhmmss>.json — timestamped so two same-day
-# runs never clobber). `bench-baseline` measures the pre-optimization
-# pipeline (no preprocessing, serial portfolio) so the committed pair
-# documents a perf change; see cmd/benchjson.
+# runs never clobber); see cmd/benchjson.
 bench:
 	$(GO) run ./cmd/benchjson
-
-bench-baseline:
-	$(GO) run ./cmd/benchjson -baseline -o BENCH_baseline.json
 
 # Diff two committed snapshots: per-benchmark per-stage speedup table,
 # non-zero exit when any stage measured in both regressed >10% ns/op.
@@ -93,6 +88,15 @@ race-record:
 	$(GO) test -race -count=1 -run '^TestHuntDeterminism$$' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/vm/
 	$(GO) test -race -count=1 -run '^TestRecord(DeadlineInterrupts|CtxCancelInterrupts|DeadlineStopsRunningSeed)$$' ./internal/core/
+
+# Race-detector pass over the production solve: the exact bounded check
+# against brute force, the cross-backend differential test over the
+# eleven benchmarks, and the sweep's anytime-deadline and typed-failure
+# tests.
+race-solve:
+	$(GO) test -race -count=1 -run '^TestExtensionSearch' ./internal/constraints/
+	$(GO) test -race -count=1 -run '^TestSolveMinimal' ./internal/cnfsolver/
+	$(GO) test -race -count=1 -run '^TestBackendsAgreeOnMinimality$$' ./internal/bench/
 
 # End-to-end metrics smoke: reproduce one benchmark with -metrics-json and
 # require the five pipeline-stage spans in the report via `clap stats`.

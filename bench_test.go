@@ -2,7 +2,7 @@
 // table (run with `go test -bench=. -benchmem`):
 //
 //   - BenchmarkTable1/* times the offline pipeline (symbolic execution +
-//     constraint encoding + sequential solving + verified replay) per
+//     constraint encoding + the default solve + verified replay) per
 //     evaluation program — Table 1's time columns; the constraint sizes
 //     are attached as custom metrics.
 //   - BenchmarkTable2/* times one recorded execution under the three
@@ -72,7 +72,6 @@ func BenchmarkTable1(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-					Solver:     core.Sequential,
 					SeqOptions: solver.Options{MaxPreemptions: bm.MaxPreemptions},
 				})
 				if err != nil {
@@ -94,7 +93,6 @@ func BenchmarkTable1(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver:     core.Sequential,
 				SeqOptions: solver.Options{MaxPreemptions: p.Bench.MaxPreemptions},
 			})
 			if err != nil {

@@ -7,8 +7,8 @@
 //
 //	prog, _ := repro.Compile(src)
 //	rec, _ := repro.Record(prog, repro.RecordOptions{Model: repro.PSO, SeedLimit: 5000})
-//	rep, _ := repro.Reproduce(rec, repro.ReproduceOptions{Solver: repro.Sequential})
-//	fmt.Println(rep.Solution.Preemptions, rep.Outcome.Reproduced)
+//	rep, _ := repro.Reproduce(rec, repro.ReproduceOptions{})
+//	fmt.Println(rep.Solution.Preemptions, rep.Solution.Proven(), rep.Outcome.Reproduced)
 //
 // See README.md for the architecture and DESIGN.md for the per-experiment
 // index.
@@ -32,16 +32,18 @@ const (
 
 // Solver strategies.
 const (
-	// Sequential is the dedicated finite-domain decision procedure with
-	// minimal-preemption iteration.
-	Sequential = core.Sequential
-	// Parallel is the generate-and-validate worker pool (paper §4.3).
-	Parallel = core.Parallel
-	// CNF is the SAT encoding with a CDCL core.
+	// CNF, the zero value, is the production solve: one CNF session finds
+	// a first schedule and sweeps the preemption bound down with an exact
+	// check; Solution.LowerBound says whether the count is proven minimal.
 	CNF = core.CNF
-	// Portfolio tries Sequential under a budget, then Parallel, then CNF,
-	// recording the per-attempt trail in Reproduction.Attempts.
+	// Portfolio names the production solve too.
 	Portfolio = core.Portfolio
+	// Sequential is the paper's finite-domain decision procedure with
+	// minimal-preemption iteration (§4.2), kept as a reference.
+	Sequential = core.Sequential
+	// Parallel is the paper's generate-and-validate worker pool (§4.3),
+	// kept as a reference.
+	Parallel = core.Parallel
 )
 
 // Re-exported pipeline types.

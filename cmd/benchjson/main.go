@@ -7,13 +7,13 @@
 // It drives the exact same stage runners (internal/bench.Stage*) as the
 // repo-root `go test -bench BenchmarkStages` benchmarks through
 // testing.Benchmark, so the JSON numbers and the -bench numbers measure
-// identical code. On top of the stages it times the end-to-end portfolio
-// solve (best of -reps repetitions).
+// identical code. On top of the stages it times the end-to-end production
+// solve, the CNF preemption sweep (best of -reps repetitions); its JSON
+// fields keep their portfolio_* names.
 //
 // Usage:
 //
 //	go run ./cmd/benchjson                     # current pipeline
-//	go run ./cmd/benchjson -baseline -o BENCH_baseline.json
 //	go run ./cmd/benchjson -run peterson,racey # subset
 //	go run ./cmd/benchjson -compare old.json new.json
 //
@@ -25,11 +25,10 @@
 // informational p99 line follows each stage row; the gate itself stays
 // on mean ns/op.
 //
-// -baseline measures the pre-optimization configuration: constraint
-// preprocessing off and the portfolio as the old serial
-// sequential→parallel→CNF ladder. Committing a baseline snapshot next to a
-// current one is how `make bench-baseline` + `make bench` document a perf
-// PR's effect.
+// Every snapshot it writes has mode "current". BENCH_baseline.json, the
+// committed snapshot of mode "baseline", was measured by a retired flag
+// with preprocessing off and the old serial solver ladder; it stays as
+// history.
 package main
 
 import (
@@ -47,7 +46,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/parsolve"
 	"repro/internal/solver"
 )
 
@@ -106,7 +104,6 @@ type StaticJSON struct {
 	LockCycles    int `json:"lock_cycles"`
 	// Frw read→write candidate edges before and after preprocessing, and
 	// how many of the pruned edges the mutual-exclusion rule removed.
-	// Zero in baseline mode, which does not preprocess.
 	FrwCandsBefore int `json:"frw_cands_before,omitempty"`
 	FrwCandsAfter  int `json:"frw_cands_after,omitempty"`
 	PrunedMutex    int `json:"pruned_mutex,omitempty"`
@@ -120,11 +117,12 @@ type BenchResult struct {
 	Variables   int                    `json:"variables"`
 	Static      *StaticJSON            `json:"static,omitempty"`
 	Stages      map[string]StageResult `json:"stages"`
-	// PortfolioWallNs is the best end-to-end portfolio solve wall time
+	// PortfolioWallNs is the best end-to-end production solve wall time
 	// (system build off the clock, preprocessing on it).
 	PortfolioWallNs int64 `json:"portfolio_wall_ns"`
-	// PortfolioSolver is the winning stage ("sequential", "parallel",
-	// "cnf") of the best repetition, or "" when no repetition solved.
+	// PortfolioSolver is the stage that solved the best repetition ("cnf";
+	// older snapshots also name "sequential" or "parallel"), or "" when no
+	// repetition solved.
 	PortfolioSolver string `json:"portfolio_solver"`
 	Err             string `json:"err,omitempty"`
 }
@@ -142,11 +140,10 @@ type Report struct {
 func main() {
 	testing.Init()
 	var (
-		out      = flag.String("o", "", "output file (default BENCH_<date>T<hhmmss>.json, or BENCH_baseline.json with -baseline)")
-		baseline = flag.Bool("baseline", false, "measure the pre-optimization pipeline: no preprocessing, serial portfolio ladder")
-		run      = flag.String("run", "", "comma-separated benchmark subset (default: all eleven)")
-		reps     = flag.Int("reps", 3, "portfolio repetitions (best wall time wins)")
-		compare  = flag.Bool("compare", false, "diff two snapshots (old.json new.json); exit 1 on a >10% ns/op stage regression")
+		out     = flag.String("o", "", "output file (default BENCH_<date>T<hhmmss>.json)")
+		run     = flag.String("run", "", "comma-separated benchmark subset (default: all eleven)")
+		reps    = flag.Int("reps", 3, "portfolio repetitions (best wall time wins)")
+		compare = flag.Bool("compare", false, "diff two snapshots (old.json new.json); exit 1 on a >10% ns/op stage regression")
 	)
 	flag.Parse()
 
@@ -162,19 +159,12 @@ func main() {
 	if *run != "" {
 		names = strings.Split(*run, ",")
 	}
-	mode := "current"
-	if *baseline {
-		mode = "baseline"
-	}
+	const mode = "current"
 	path := *out
 	if path == "" {
-		if *baseline {
-			path = "BENCH_baseline.json"
-		} else {
-			// Include the time of day so two same-day runs never clobber
-			// each other's snapshot.
-			path = "BENCH_" + time.Now().Format("2006-01-02T150405") + ".json"
-		}
+		// Include the time of day so two same-day runs never clobber each
+		// other's snapshot.
+		path = "BENCH_" + time.Now().Format("2006-01-02T150405") + ".json"
 	}
 
 	rep := Report{
@@ -186,7 +176,7 @@ func main() {
 	}
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "== %s\n", name)
-		rep.Benchmarks = append(rep.Benchmarks, measure(name, *baseline, *reps))
+		rep.Benchmarks = append(rep.Benchmarks, measure(name, *reps))
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -201,7 +191,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks, mode %s)\n", path, len(rep.Benchmarks), mode)
 }
 
-func measure(name string, baseline bool, reps int) BenchResult {
+func measure(name string, reps int) BenchResult {
 	res := BenchResult{Name: name, Stages: map[string]StageResult{}}
 	b, ok := bench.ByName(name)
 	if !ok {
@@ -221,7 +211,7 @@ func measure(name string, baseline bool, reps int) BenchResult {
 	res.Constraints = p.Stats.Clauses
 	res.Variables = p.Stats.Variables
 
-	sys, err := bench.FreshSystem(p, baseline)
+	sys, err := bench.FreshSystem(p)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -244,19 +234,13 @@ func measure(name string, baseline bool, reps int) BenchResult {
 
 	stages := map[string]func(*testing.B){
 		"build":      bench.StageBuild(p),
+		"preprocess": bench.StagePreprocess(p),
 		"sequential": bench.StageSequential(p, sys),
 		"parsolve":   bench.StageParsolve(p, sys),
 		"cnf":        bench.StageCNF(p, sys),
 	}
-	if !baseline {
-		// The baseline pipeline has no preprocessing stage to measure.
-		stages["preprocess"] = bench.StagePreprocess(p)
-	}
 	for _, stage := range []string{"build", "preprocess", "sequential", "parsolve", "cnf"} {
-		fn, ok := stages[stage]
-		if !ok {
-			continue
-		}
+		fn := stages[stage]
 		fmt.Fprintf(os.Stderr, "   %-11s", stage)
 		sr := runStage(stage, fn)
 		if hs, ok := lat.TakeSnapshot().Hists["stage.bench."+stage+".ns"]; ok && hs.Count > 0 {
@@ -270,7 +254,7 @@ func measure(name string, baseline bool, reps int) BenchResult {
 		}
 	}
 
-	wall, winner := portfolioWall(p, baseline, reps)
+	wall, winner := portfolioWall(p, reps)
 	res.PortfolioWallNs = wall.Nanoseconds()
 	res.PortfolioSolver = winner
 	fmt.Fprintf(os.Stderr, "   portfolio   %12d ns (%s)\n", res.PortfolioWallNs, winner)
@@ -474,11 +458,11 @@ func compareReports(w io.Writer, oldRep, newRep *Report) (compared, regressions 
 	return compared, regressions
 }
 
-// portfolioWall times the end-to-end portfolio solve: a fresh system build
-// per repetition off the clock, then preprocessing (unless baseline) plus
-// the portfolio on the clock. Best wall time of the solving repetitions
-// wins; the winner is the trail's first solved attempt.
-func portfolioWall(p *bench.Prepared, baseline bool, reps int) (time.Duration, string) {
+// portfolioWall times the end-to-end production solve: a fresh system
+// build per repetition off the clock, then preprocessing plus the solve on
+// the clock. Best wall time of the solving repetitions wins; the winner is
+// the trail's first solved attempt.
+func portfolioWall(p *bench.Prepared, reps int) (time.Duration, string) {
 	best := time.Duration(-1)
 	winner := ""
 	for i := 0; i < reps; i++ {
@@ -488,13 +472,7 @@ func portfolioWall(p *bench.Prepared, baseline bool, reps int) (time.Duration, s
 		}
 		t0 := time.Now()
 		sol, attempts, err := core.RunPortfolio(sys, core.ReproduceOptions{
-			NoPreprocess:    baseline,
-			SerialPortfolio: baseline,
-			SeqOptions:      solver.Options{MaxPreemptions: p.Bench.MaxPreemptions},
-			// Workers defaults to GOMAXPROCS: the portfolio wall is an
-			// end-to-end number on this machine, not the fixed 8-worker
-			// Table 3 configuration the parsolve stage measures.
-			ParOptions: parsolve.Options{MaxBound: p.Bench.ParallelBound},
+			SeqOptions: solver.Options{MaxPreemptions: p.Bench.MaxPreemptions},
 			Deadline:   20 * time.Second,
 		})
 		wall := time.Since(t0)

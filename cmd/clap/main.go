@@ -46,10 +46,14 @@
 //	-seed N             first scheduler seed (default 0)
 //	-seeds N            how many seeds to try when hunting (default 2000)
 //	-input a,b,c        deterministic program inputs
-//	-solver seq|par|cnf|portfolio
-//	                    solving strategy (default seq); portfolio tries
-//	                    seq, then par, then cnf, printing the attempt trail
-//	-cs N               preemption bound (-1 = minimal, default)
+//	-solver cnf|portfolio|seq|par
+//	                    solving strategy (default cnf): cnf, also named
+//	                    portfolio, sweeps one CNF session down to a schedule
+//	                    whose preemptions are proven minimal or labelled an
+//	                    upper bound; seq and par are the paper's sequential
+//	                    and parallel reference solvers
+//	-cs N               preemption bound (-1 = minimal, default); N > 0 caps
+//	                    the schedule at N preemptions
 //	-timeout D          bound each phase's wall time (e.g. 30s, 2m);
 //	                    interrupted phases report partial diagnostics
 //	-o FILE             record: also write the crash-tolerant framed log;
@@ -157,7 +161,7 @@ type flags struct {
 }
 
 func parseFlags(args []string) (rest []string, f flags, err error) {
-	f = flags{seeds: 2000, solver: "seq", cs: -1}
+	f = flags{seeds: 2000, cs: -1}
 	i := 0
 	need := func(name string) (string, error) {
 		i++
@@ -711,12 +715,12 @@ func cmdBench(rest []string, f flags) error {
 // solverKind maps the -solver flag to a core.SolverKind.
 func solverKind(name string) (core.SolverKind, error) {
 	switch name {
+	case "", "cnf":
+		return core.CNF, nil
 	case "seq":
 		return core.Sequential, nil
 	case "par":
 		return core.Parallel, nil
-	case "cnf":
-		return core.CNF, nil
 	case "portfolio":
 		return core.Portfolio, nil
 	}
@@ -786,7 +790,7 @@ func reproduceSource(src string, f flags) error {
 	case rep.Parallel != nil && kind == core.Parallel:
 		fmt.Printf("  parallel solver: generated %d, valid %d, bound %d, %.3fs\n",
 			rep.Parallel.Generated, rep.Parallel.Valid, rep.Parallel.Bound, rep.Parallel.Elapsed.Seconds())
-	case rep.CNFStats != nil && kind == core.CNF:
+	case rep.CNFStats != nil && (kind == core.CNF || kind == core.Portfolio):
 		fmt.Printf("  cnf solver: %d bool vars, %d clauses, %d theory rounds\n",
 			rep.CNFStats.BoolVars, rep.CNFStats.Clauses, rep.CNFStats.TheoryRounds)
 	}
@@ -799,11 +803,11 @@ func reproduceSource(src string, f flags) error {
 		}
 		if res.After < sol.Preemptions {
 			fmt.Printf("  simplifier: %d -> %d preemptions (%d moves)\n", res.Before, res.After, res.Moves)
-			sol = &solver.Solution{Order: res.Order, Witness: res.Witness, Preemptions: res.After}
+			sol = &solver.Solution{Order: res.Order, Witness: res.Witness, Preemptions: res.After, LowerBound: min(sol.LowerBound, res.After)}
 			rep.Solution = sol
 		}
 	}
-	fmt.Printf("schedule: %d SAPs, %d preemptive context switches\n", len(sol.Order), sol.Preemptions)
+	fmt.Printf("schedule: %d SAPs, %s\n", len(sol.Order), core.PreemptionLabel(sol.Preemptions, sol.LowerBound))
 	if f.verbose {
 		for i, ref := range sol.Order {
 			fmt.Printf("  %3d %s\n", i, rep.System.SAP(ref))
@@ -902,9 +906,9 @@ func resolveTarget(rest []string, f flags, usage string) (src, name string, out 
 
 // flightPipeline records a failure and reproduces it with the flight
 // recorder's capture hooks armed: the replay's visible events are
-// collected for the timeline's replay lane, and the sequential solver
-// keeps its deepest partial order so a failed solve still has something
-// to show. A non-nil Reproduction may come back alongside an error — the
+// collected for the timeline's replay lane, and under -solver seq the
+// sequential solver keeps its deepest partial order so a failed solve
+// still has something to show. A non-nil Reproduction may come back alongside an error — the
 // partial pipeline is exactly what timeline/explain want to look at.
 func flightPipeline(src string, f flags, skipReplay bool) (*core.Reproduction, error) {
 	kind, err := solverKind(f.solver)
@@ -937,8 +941,8 @@ func flightPipeline(src string, f flags, skipReplay bool) (*core.Reproduction, e
 // arrows, and the replay capture. With -o the artifact is Chrome
 // trace-event JSON (validated before writing, linked from the metrics
 // report); without it an ASCII rendering goes to stdout. A failed solve
-// still writes what exists — the recorded lane plus the sequential
-// attempt's partial order — and then reports the failure.
+// still writes what exists — the recorded lane, plus the sequential
+// attempt's partial order under -solver seq — and then reports the failure.
 func cmdTimeline(rest []string, f flags) error {
 	src, name, f, err := resolveTarget(rest, f, "usage: clap timeline <prog.mc|benchmark> [-o FILE] [flags]")
 	if err != nil {

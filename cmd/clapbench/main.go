@@ -47,7 +47,7 @@ func main() {
 	want := func(t string) bool { return *table == "all" || *table == t }
 
 	if want("1") {
-		fmt.Println("=== Table 1: bug reproduction effectiveness (sequential solver + verified replay) ===")
+		fmt.Println("=== Table 1: bug reproduction effectiveness (production solve + verified replay; sequential reference alongside) ===")
 		rows := bench.Table1(selected)
 		bench.FormatTable1(os.Stdout, rows)
 		fmt.Println()

@@ -67,7 +67,6 @@ func TestEachBenchmarkReproduces(t *testing.T) {
 			t.Parallel()
 			p := preparedFor(t, b)
 			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver:     core.Sequential,
 				SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
 			})
 			if err != nil {

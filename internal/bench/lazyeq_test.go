@@ -82,12 +82,12 @@ func TestLazyEagerEquivalenceOnBenchmarks(t *testing.T) {
 				}
 			}
 
-			sysL, err := FreshSystem(p, false)
+			sysL, err := FreshSystem(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			solL, stL, errL := cnfsolver.Solve(sysL, opts(false))
-			sysE, err := FreshSystem(p, false)
+			sysE, err := FreshSystem(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestBenchGateLazyCNF(t *testing.T) {
 				t.Fatalf("benchmark %s missing", name)
 			}
 			p := preparedFor(t, b)
-			sys, err := FreshSystem(p, false)
+			sys, err := FreshSystem(p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,9 @@ import (
 // DESIGN.md) before it ships, so renames show up as test failures here
 // instead of silent schema drift.
 func TestObsNamesStable(t *testing.T) {
-	// The lazy-CNF and artifact-cache metrics only appear on a CNF-backed
-	// cached run, which the per-benchmark sweep below (sequential, no
-	// cache) never produces — pin them in their own subtest so a rename
+	// The artifact-cache metrics only appear on a cached run, which the
+	// per-benchmark sweep below (default solver, no cache) never produces —
+	// pin them, with the lazy-CNF family, in their own subtest so a rename
 	// or a silent drop of either family fails here.
 	t.Run("lazy-and-cache-pins", func(t *testing.T) {
 		t.Parallel()
@@ -31,6 +31,8 @@ func TestObsNamesStable(t *testing.T) {
 			"solver.cnf.blocks.mapping",
 			"solver.cnf.session.solves", "solver.cnf.session.reuse",
 			"sat.solves", "sat.restarts", "sat.learnts",
+			// The solve's minimality label.
+			"solve.preemptions.lower_bound",
 			// Stage latency histograms, pipeline and benchjson flavors.
 			"stage.record.ns", "stage.symexec.ns", "stage.preprocess.ns",
 			"stage.solve.ns", "stage.replay.ns",
@@ -107,7 +109,6 @@ func TestObsNamesStable(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep, err := core.Reproduce(rec, core.ReproduceOptions{
-				Solver:     core.Sequential,
 				SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
 				Obs:        tr,
 			})
@@ -135,6 +136,9 @@ func TestObsNamesStable(t *testing.T) {
 			}
 			if len(counters)+len(gauges) == 0 {
 				t.Error("instrumented run published no metrics")
+			}
+			if lb, ok := gauges["solve.preemptions.lower_bound"]; !ok || lb > gauges["solve.preemptions"] {
+				t.Errorf("solve.preemptions.lower_bound = %d (published %v), preemptions %d", lb, ok, gauges["solve.preemptions"])
 			}
 			s := tr.Reg().TakeSnapshot()
 			for name := range s.Hists {

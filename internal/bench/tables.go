@@ -76,14 +76,24 @@ type Table1Row struct {
 	Constraints int
 	Variables   int
 	SymbolicSec float64
-	SolveSec    float64
-	CS          int
+	// SolveSec and CS are the production solve's time and preemptions;
+	// Proven says whether CS is proven minimal.
+	SolveSec float64
+	CS       int
+	Proven   bool
+	// SeqSolveSec, SeqCS and SeqProven are the same for the paper's
+	// sequential solver, the reference; SeqErr is set when it failed.
+	SeqSolveSec float64
+	SeqCS       int
+	SeqProven   bool
+	SeqErr      string
 	Success     bool
 	Err         string
 }
 
-// Table1 reproduces every benchmark's bug with the sequential solver and a
-// verifying replay, reporting the paper's Table 1 columns.
+// Table1 reproduces every benchmark's bug with the production solve and a
+// verifying replay, reporting the paper's Table 1 columns, and solves the
+// same recording with the sequential reference for comparison.
 func Table1(benches []Benchmark) []Table1Row {
 	var rows []Table1Row
 	for _, b := range benches {
@@ -104,7 +114,6 @@ func Table1(benches []Benchmark) []Table1Row {
 		row.SymbolicSec = p.Symbolic.Seconds()
 
 		rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-			Solver:     core.Sequential,
 			SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
 		})
 		if err != nil {
@@ -113,18 +122,37 @@ func Table1(benches []Benchmark) []Table1Row {
 			continue
 		}
 		row.SolveSec = rep.SolveTime().Seconds()
-		row.CS = rep.Solution.Preemptions
+		row.CS, row.Proven = rep.Solution.Preemptions, rep.Solution.Proven()
 		row.Success = rep.Outcome != nil && rep.Outcome.Reproduced
+		seq, err := core.Reproduce(p.Recording, core.ReproduceOptions{
+			Solver:     core.Sequential,
+			SeqOptions: solver.Options{MaxPreemptions: b.MaxPreemptions},
+			SkipReplay: true,
+		})
+		if err != nil {
+			row.SeqErr = err.Error()
+		} else {
+			row.SeqSolveSec = seq.SolveTime().Seconds()
+			row.SeqCS, row.SeqProven = seq.Solution.Preemptions, seq.Solution.Proven()
+		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// FormatTable1 renders rows like the paper's Table 1.
+// FormatTable1 renders rows like the paper's Table 1, with each
+// preemption count labelled p (proven minimal) or u (upper bound) and the
+// sequential reference's time and count alongside.
 func FormatTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintf(w, "%-10s %5s %8s %4s %9s %8s %7s %12s %10s %10s %9s %4s %s\n",
+	label := func(cs int, proven bool) string {
+		if proven {
+			return fmt.Sprintf("%d p", cs)
+		}
+		return fmt.Sprintf("%d u", cs)
+	}
+	fmt.Fprintf(w, "%-10s %5s %8s %4s %9s %8s %7s %12s %10s %10s %9s %5s %s %10s %7s\n",
 		"Program", "LOC", "#Threads", "#SV", "#Inst", "#Br", "#SAPs",
-		"#Constraints", "#Variables", "T-symb(s)", "T-solve(s)", "#cs", "ok?")
+		"#Constraints", "#Variables", "T-symb(s)", "T-solve(s)", "#cs", "ok?", "T-seq(s)", "seq#cs")
 	for _, r := range rows {
 		if r.Err != "" {
 			fmt.Fprintf(w, "%-10s %5d ERROR: %s\n", r.Program, r.LOC, r.Err)
@@ -134,9 +162,13 @@ func FormatTable1(w io.Writer, rows []Table1Row) {
 		if !r.Success {
 			ok = "N"
 		}
-		fmt.Fprintf(w, "%-10s %5d %8d %4d %9d %8d %7d %12d %10d %10.3f %9.3f %4d %s\n",
+		seqTime, seqCS := fmt.Sprintf("%10.3f", r.SeqSolveSec), label(r.SeqCS, r.SeqProven)
+		if r.SeqErr != "" {
+			seqTime, seqCS = fmt.Sprintf("%10s", "-"), "failed: "+r.SeqErr
+		}
+		fmt.Fprintf(w, "%-10s %5d %8d %4d %9d %8d %7d %12d %10d %10.3f %9.3f %5s %3s %s %7s\n",
 			r.Program, r.LOC, r.Threads, r.SV, r.Inst, r.Br, r.SAPs,
-			r.Constraints, r.Variables, r.SymbolicSec, r.SolveSec, r.CS, ok)
+			r.Constraints, r.Variables, r.SymbolicSec, r.SolveSec, label(r.CS, r.Proven), ok, seqTime, seqCS)
 	}
 }
 

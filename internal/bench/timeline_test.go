@@ -26,7 +26,6 @@ func TestTimelineAndExplainGolden(t *testing.T) {
 			t.Parallel()
 			p := preparedFor(t, b)
 			rep, err := core.Reproduce(p.Recording, core.ReproduceOptions{
-				Solver:        core.Sequential,
 				SeqOptions:    solver.Options{MaxPreemptions: b.MaxPreemptions},
 				CaptureReplay: true,
 			})

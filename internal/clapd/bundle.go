@@ -53,8 +53,8 @@ type Bundle struct {
 	Program string  `json:"program"`
 	Model   string  `json:"model"`
 	Inputs  []int64 `json:"inputs,omitempty"`
-	// Solver selects the offline backend (seq|par|cnf|portfolio;
-	// empty = portfolio).
+	// Solver selects the offline backend (seq|par|cnf|portfolio; empty
+	// and portfolio name the production solve, like cnf).
 	Solver string `json:"solver,omitempty"`
 
 	// Scheduler pins of the recorded attempt (core.RehydrateSpec).

@@ -305,6 +305,28 @@ type IngestResult struct {
 // length-capped by the caller (the HTTP layer uses MaxBytesReader);
 // DecodeBundle re-checks as defense in depth.
 func (d *Daemon) Ingest(raw []byte) (*IngestResult, error) {
+	res, err := d.accept(raw)
+	if err == nil && res.Status == IngestAccepted {
+		d.enqueue(res.Digest)
+	}
+	return res, err
+}
+
+// enqueue hands an accepted job to the workers. The HTTP handler calls
+// it only after the 201 is written, so no worker step (and no crash in
+// one) can run before the client has its acknowledgement; a crash in
+// between leaves the job journaled as queued, and restart re-queues it.
+func (d *Daemon) enqueue(digest string) {
+	d.mu.Lock()
+	d.queue = append(d.queue, digest)
+	d.setQueueGauge()
+	d.mu.Unlock()
+	d.notify()
+}
+
+// accept is Ingest up to and including the journaled acceptance, without
+// queueing the job.
+func (d *Daemon) accept(raw []byte) (*IngestResult, error) {
 	b, err := DecodeBundle(raw, d.cfg.MaxUploadBytes)
 	if err != nil {
 		var tooLarge *TooLargeError
@@ -354,9 +376,6 @@ func (d *Daemon) Ingest(raw []byte) (*IngestResult, error) {
 	}
 	d.log.Emit(Event{Kind: "job.transition", Digest: digest, State: string(StateQueued)})
 	d.jobs[digest] = job
-	d.queue = append(d.queue, digest)
-	d.setQueueGauge()
-	d.notify()
 	d.reg().Add("clapd.ingest.accepted", 1)
 	return &IngestResult{Status: IngestAccepted, Digest: digest, Job: *job}, nil
 }

@@ -88,7 +88,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	res, err := d.Ingest(raw)
+	res, err := d.accept(raw)
 	if err != nil {
 		var bad *BadBundleError
 		var large *TooLargeError
@@ -117,6 +117,10 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, res.Job)
 	default:
 		writeJSON(w, http.StatusCreated, res.Job)
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		d.enqueue(res.Digest)
 	}
 }
 

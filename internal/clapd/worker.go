@@ -30,6 +30,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/races"
+	"repro/internal/solver"
 	"repro/internal/timeline"
 )
 
@@ -43,8 +44,11 @@ type Result struct {
 	Name    string `json:"name,omitempty"`
 	Attempt int    `json:"attempt"`
 	// Reproduced reports a verified deterministic replay.
-	Reproduced  bool   `json:"reproduced"`
-	Preemptions int    `json:"preemptions,omitempty"`
+	Reproduced  bool `json:"reproduced"`
+	Preemptions int  `json:"preemptions,omitempty"`
+	// Minimal labels Preemptions: "proven" when the solve proved no
+	// schedule has fewer, "upper bound" otherwise.
+	Minimal     string `json:"minimal,omitempty"`
 	ScheduleLen int    `json:"schedule_len,omitempty"`
 	Solver      string `json:"solver,omitempty"`
 	// Salvage summarizes the upload's framed-log salvage ("" = clean).
@@ -304,6 +308,7 @@ func (d *Daemon) execute(digest string, attempt int) (res *Result, err error) {
 	}
 	if rep.Solution != nil {
 		res.Preemptions = rep.Solution.Preemptions
+		res.Minimal = solver.Minimality(rep.Solution.Preemptions, rep.Solution.LowerBound)
 		res.ScheduleLen = len(rep.Solution.Order)
 	}
 	data, jerr := json.MarshalIndent(res, "", "  ")

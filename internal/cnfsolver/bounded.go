@@ -1,96 +1,131 @@
 package cnfsolver
 
 import (
-	"sort"
+	"errors"
+	"fmt"
+	"time"
 
 	"repro/internal/constraints"
-	"repro/internal/trace"
+	"repro/internal/sat"
+	"repro/internal/solver"
 )
 
-// extractOrderMinSwitch linearizes the model's order relation like
-// extractOrder, but greedily stays on the running thread while it has a
-// ready SAP, switching only when forced. Plain topological ranks
-// interleave threads arbitrarily and overshoot any preemption budget even
-// when the underlying partial order admits a near-sequential extension;
-// the greedy walk instead realizes only the context switches the order
-// relation (or thread exhaustion) forces. Used by SolveBounded; the plain
-// Solve path keeps the rank extraction so its schedules — and the golden
-// outputs downstream — are unchanged.
-func (e *encoder) extractOrderMinSwitch() []constraints.SAPRef {
-	// Orient the allocated pairs into adjacency lists. The relation is
-	// acyclic here: lazy mode runs refineAcyclic first, eager mode's
-	// triples enforce transitivity outright.
-	adj := make([][]int32, e.n)
-	indeg := make([]int, e.n)
+// Undecided reports a bounded solve that ended without an answer: the SAT
+// search ran out of models, but some model's exact preemption check hit
+// its state cap (or a coarse block may have excluded untested linear
+// extensions), or the theory-round budget ran out first. Unlike *Unsat it
+// proves nothing about the bound.
+type Undecided struct {
+	Bound  int
+	Reason string
+}
+
+// Error implements error.
+func (u *Undecided) Error() string {
+	return fmt.Sprintf("cnfsolver: bound %d undecided: %s", u.Bound, u.Reason)
+}
+
+// boundedOrder orients the model's pair variables into the session's
+// extension search and asks for a linear extension with at most bound
+// preemptions. The returned order aliases the search's scratch.
+func (sess *Session) boundedOrder(bound int) ([]constraints.SAPRef, constraints.ExtVerdict) {
+	e := sess.e
+	x := &sess.ext
+	x.Reset(e.sys)
 	for _, idx := range e.pairList {
 		a, b := int(idx)/e.n, int(idx)%e.n
-		from, to := a, b
 		if !e.s.Value(int(e.pairVar[idx])) {
-			from, to = b, a
+			a, b = b, a
 		}
-		adj[from] = append(adj[from], int32(to))
-		indeg[to]++
+		x.AddEdge(constraints.SAPRef(a), constraints.SAPRef(b))
 	}
-	// Per-thread SAP lists in index order (= the thread's issue order),
-	// sorted thread IDs for run-to-run determinism.
-	byThread := map[trace.ThreadID][]int{}
-	var tids []trace.ThreadID
-	for i := 0; i < e.n; i++ {
-		t := e.sys.SAP(constraints.SAPRef(i)).Thread
-		if _, ok := byThread[t]; !ok {
-			tids = append(tids, t)
-		}
-		byThread[t] = append(byThread[t], i)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	order, _, v := x.Search(bound)
+	return order, v
+}
 
-	order := make([]constraints.SAPRef, 0, e.n)
-	scheduled := make([]bool, e.n)
-	schedule := func(i int) {
-		scheduled[i] = true
-		for _, t := range adj[i] {
-			indeg[t]--
-		}
-		order = append(order, constraints.SAPRef(i))
+// blockOverBound forbids, under the shared bound group, the orientation
+// of a subset of the model's order edges whose DAG has no linear extension
+// within the running SolveBounded call's bound: the core the exact check
+// shrank the model to, so the clause also excludes every other model that
+// keeps those orientations. When the check was undecided there is no core,
+// and the block keeps the edges the others do not imply (no proof either
+// way, which boundUndecided records). RetractBlocks retires the group, so
+// a subsequent higher-bound sweep sees those models again.
+func (sess *Session) blockOverBound(v constraints.ExtVerdict, bound int) {
+	e := sess.e
+	if sess.boundGroup == nil {
+		g := e.s.NewGroup()
+		sess.boundGroup = &g
+		sess.groups = append(sess.groups, g)
 	}
-	// pickIn returns the thread's earliest ready SAP, or -1. The scan
-	// starts at the thread's first unscheduled SAP; under store buffering
-	// a thread's SAPs are only partially ordered, so a blocked SAP does
-	// not block its later ones.
-	start := make([]int, len(tids))
-	pickIn := func(ti int) int {
-		list := byThread[tids[ti]]
-		for start[ti] < len(list) && scheduled[list[start[ti]]] {
-			start[ti]++
+	var keep []bool
+	if v == constraints.ExtNone {
+		keep = sess.ext.Core(bound)
+	} else {
+		sess.boundUndecided = true
+		keep = sess.ext.Implied()
+		for i := range keep {
+			keep[i] = !keep[i]
 		}
-		for _, i := range list[start[ti]:] {
-			if !scheduled[i] && indeg[i] == 0 {
-				return i
+	}
+	lits := e.lemmaBuf[:0]
+	for i, idx := range e.pairList {
+		if keep[i] {
+			v := int(e.pairVar[idx])
+			lits = append(lits, sat.MkLit(v, e.s.Value(v)))
+		}
+	}
+	e.lemmaBuf = lits
+	sess.boundGroup.Add(lits...)
+	e.clauses++
+}
+
+// SolveMinimal is the production solve: one session finds a first
+// schedule, already the fewest-preemption extension of its model, then
+// sweeps the bound down, asking SolveBounded(p-1) for a schedule with
+// fewer than the best p found so far. A clean *Unsat at p-1 proves p
+// minimal, and the returned Solution's LowerBound says so; any other end
+// of the sweep (an undecided bound, the deadline, cancellation) returns
+// the best schedule so far as an upper bound, without an error. A
+// non-negative maxPreemptions caps the sweep: the first schedule must
+// then have at most that many preemptions. Errors come only from the
+// first schedule: the system is too large, unsatisfiable (within the cap)
+// or the budget ran out before any schedule appeared. opts.Deadline
+// bounds the whole sweep.
+func SolveMinimal(sys *constraints.System, opts Options, maxPreemptions int) (*solver.Solution, *Stats, error) {
+	sess, err := NewSession(sys, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var end time.Time
+	if opts.Deadline > 0 {
+		end = time.Now().Add(opts.Deadline)
+	}
+	if maxPreemptions < 0 {
+		maxPreemptions = len(sys.SAPs)
+	}
+	best, st, err := sess.SolveBounded(maxPreemptions)
+	if err != nil {
+		return nil, st, err
+	}
+	for best.Preemptions > 0 {
+		if !end.IsZero() {
+			rem := time.Until(end)
+			if rem <= 0 {
+				break
 			}
+			sess.opts.Deadline = rem
 		}
-		return -1
+		sol, _, err := sess.SolveBounded(best.Preemptions - 1)
+		if err == nil {
+			best = sol
+			continue
+		}
+		var u *Unsat
+		if errors.As(err, &u) {
+			best.LowerBound = best.Preemptions
+		}
+		break
 	}
-	cur := -1
-	for len(order) < e.n {
-		i := -1
-		if cur >= 0 {
-			i = pickIn(cur)
-		}
-		if i < 0 {
-			for ti := range tids {
-				if ti == cur {
-					continue
-				}
-				if j := pickIn(ti); j >= 0 {
-					i, cur = j, ti
-					break
-				}
-			}
-		}
-		if i < 0 {
-			panic("cnfsolver: min-switch extraction stuck on a cyclic order relation")
-		}
-		schedule(i)
-	}
-	return order
+	return best, st, nil
 }

@@ -176,6 +176,12 @@ type Session struct {
 	// SolveBounded (nil until the first such block). It is one of groups;
 	// kept separately so successive bounded rounds share a guard.
 	boundGroup *sat.Group
+	// boundUndecided records that a live bound block was added without a
+	// proof (the exact check hit its state cap), so exhausting the models
+	// under it is inconclusive. RetractBlocks clears it with the blocks.
+	boundUndecided bool
+	// ext is the exact bounded check's scratch, reused across models.
+	ext constraints.ExtensionSearch
 }
 
 // Encoding size limits: the eager all-triples encoding emits ≈ n³/3
@@ -269,14 +275,15 @@ func (sess *Session) Solve() (*solver.Solution, *Stats, error) {
 }
 
 // SolveBounded runs the same DPLL(T) loop but only accepts schedules with
-// at most bound preemptions. Models are linearized with the thread-greedy
-// extraction (stay on the running thread while it has a ready SAP)
-// instead of the plain topological ranks, and a valid-but-over-budget
-// schedule is blocked under a retractable group, so a later sweep with a
-// higher bound on the same session re-admits it after RetractBlocks. An
-// Unsat from SolveBounded is inconclusive for the system as a whole: the
-// greedy extraction is an approximation, so exhaustion means "no schedule
-// found within the bound", not a proof of absence.
+// at most bound preemptions. Each model's order relation goes through the
+// exact bounded check (constraints.ExtensionSearch): when some linear
+// extension fits the bound, the fewest-preemption one the check reached is
+// the candidate schedule; when none does, the model's pair projection is
+// blocked under a retractable group, so a later higher-bound call re-admits
+// it after RetractBlocks. Blocks at a bound stay sound at every lower
+// bound, so a descending sweep keeps them. A clean *Unsat therefore proves
+// that no schedule has at most bound preemptions; when some model's check
+// was undecided, or the theory rounds ran out, the result is *Undecided.
 func (sess *Session) SolveBounded(bound int) (*solver.Solution, *Stats, error) {
 	return sess.solve(bound)
 }
@@ -346,6 +353,9 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 			return nil, st, &solver.Interrupted{Reason: "sat search cut short", Bound: -1}
 		default:
 			sess.refresh()
+			if bound >= 0 && (sess.boundUndecided || e.coarse) {
+				return nil, st, &Undecided{Bound: bound, Reason: "a model's preemption check was cut short"}
+			}
 			return nil, st, e.unsat(round + 1)
 		}
 		if !e.eager {
@@ -365,7 +375,15 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 		}
 		var order []constraints.SAPRef
 		if bound >= 0 {
-			order = e.extractOrderMinSwitch()
+			var v constraints.ExtVerdict
+			if order, v = sess.boundedOrder(bound); v != constraints.ExtFound {
+				// No linear extension of this orientation fits the bound
+				// (or the check gave up): block the pair projection.
+				sess.blockOverBound(v, bound)
+				round++
+				st.TheoryRounds = base + round
+				continue
+			}
 		} else {
 			order = e.extractOrder()
 		}
@@ -383,6 +401,7 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 				// the loop progressing at the cost of possibly excluding
 				// untested linear extensions.
 				e.blockModel()
+				e.coarse = true
 				added = 1
 			}
 			if added > 0 {
@@ -399,15 +418,8 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 		st.TheoryRounds = base + round
 		w, err := e.sys.ValidateSchedule(order)
 		if err == nil {
-			if bound >= 0 && w.Preemptions > bound {
-				// Valid but over the preemption budget: block this pair
-				// projection under the retractable bound group so a later,
-				// higher-bound sweep re-admits it.
-				sess.blockOverBound()
-				continue
-			}
 			sess.refresh()
-			return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}, st, nil
+			return &solver.Solution{Order: w.Order, Witness: w, Preemptions: w.Preemptions}, st, nil
 		}
 		// Theory rejection: derive the smallest sound conflict clause.
 		// A violated path/bug condition depends only on the mappings in
@@ -417,6 +429,9 @@ func (sess *Session) solve(bound int) (*solver.Solution, *Stats, error) {
 		st.MappingBlocks++
 	}
 	sess.refresh()
+	if bound >= 0 {
+		return nil, st, &Undecided{Bound: bound, Reason: fmt.Sprintf("theory refinement did not converge in %d rounds", opts.MaxTheoryRounds)}
+	}
 	return nil, st, fmt.Errorf("cnfsolver: theory refinement did not converge in %d rounds", opts.MaxTheoryRounds)
 }
 
@@ -467,26 +482,6 @@ func (sess *Session) BlockMapping() {
 	sess.groups = append(sess.groups, g)
 }
 
-// blockOverBound forbids the current model's pair projection under the
-// shared bound group: the schedule is valid but exceeds the preemption
-// budget of the running SolveBounded call. RetractBlocks retires the
-// group, so a subsequent higher-bound sweep sees the schedule again.
-func (sess *Session) blockOverBound() {
-	e := sess.e
-	if sess.boundGroup == nil {
-		g := e.s.NewGroup()
-		sess.boundGroup = &g
-		sess.groups = append(sess.groups, g)
-	}
-	lits := make([]sat.Lit, 0, len(e.pairList))
-	for _, idx := range e.pairList {
-		v := int(e.pairVar[idx])
-		lits = append(lits, sat.MkLit(v, e.s.Value(v)))
-	}
-	sess.boundGroup.Add(lits...)
-	e.clauses++
-}
-
 // RetractBlocks permanently deactivates every blocking clause added by
 // BlockMapping, making the blocked mappings reachable again — the
 // cross-attempt reuse hook: a later bound sweep re-enters the same
@@ -498,6 +493,7 @@ func (sess *Session) RetractBlocks() {
 	}
 	sess.groups = sess.groups[:0]
 	sess.boundGroup = nil
+	sess.boundUndecided = false
 }
 
 // AssumeAdjacent adds the race-adjacency constraint group for memory SAPs
@@ -604,6 +600,9 @@ type encoder struct {
 	// conflicts collects never-released region pairs found during
 	// encoding; the first one decorates the Unsat error.
 	conflicts []RegionConflict
+	// coarse records a blockModel fallback, which may have excluded
+	// untested linear extensions: bounded exhaustion is then no proof.
+	coarse bool
 
 	// Lazy-transitivity state: the Pearce–Kelly order graph (reset each
 	// refinement round) and reusable scratch.
@@ -912,7 +911,7 @@ func (e *encoder) definitelySame(a, b constraints.SAPRef) bool {
 func (e *encoder) extractOrder() []constraints.SAPRef {
 	if !e.eager {
 		e.orderBuf = e.og.TopoOrder(e.orderBuf)
-		return append([]constraints.SAPRef(nil), e.orderBuf...)
+		return e.orderBuf
 	}
 	before := make([]int, e.n)
 	for a := 0; a < e.n; a++ {

@@ -23,6 +23,9 @@ type validateScratch struct {
 	predsMu    sync.Mutex
 	predsEdges int
 	preds      [][]SAPRef
+	// preempt is the dense preemption-rule index, under predsMu too.
+	preemptEdges int
+	preempt      *preemptTable
 
 	// initOnce caches the initial memory image; Layout and the program's
 	// globals are immutable once the system is built.
@@ -122,12 +125,7 @@ type validator struct {
 	waitBeganAt  map[SAPRef]int
 
 	// CountSwitches state.
-	scheduled       []bool
-	next            []int
-	lockHeld        map[ir.SyncID]bool
-	signalsSeen     map[ir.SyncID]int
-	broadcastsSeen  map[ir.SyncID]int
-	signalsConsumed map[ir.SyncID]int
+	count preemptState
 }
 
 func (sys *System) getValidator() *validator {
@@ -135,14 +133,10 @@ func (sys *System) getValidator() *validator {
 		return v
 	}
 	return &validator{
-		locks:           map[ir.SyncID]lockOwner{},
-		signalsAt:       map[ir.SyncID][]int{},
-		broadcastsAt:    map[ir.SyncID][]int{},
-		waitBeganAt:     map[SAPRef]int{},
-		lockHeld:        map[ir.SyncID]bool{},
-		signalsSeen:     map[ir.SyncID]int{},
-		broadcastsSeen:  map[ir.SyncID]int{},
-		signalsConsumed: map[ir.SyncID]int{},
+		locks:        map[ir.SyncID]lockOwner{},
+		signalsAt:    map[ir.SyncID][]int{},
+		broadcastsAt: map[ir.SyncID][]int{},
+		waitBeganAt:  map[SAPRef]int{},
 	}
 }
 
@@ -180,27 +174,4 @@ func (v *validator) resetForValidate(sys *System, n int) {
 	for k, s := range v.broadcastsAt {
 		v.broadcastsAt[k] = s[:0]
 	}
-}
-
-// resetForCount prepares the CountSwitches half.
-func (v *validator) resetForCount(sys *System, n int) {
-	if cap(v.scheduled) < n {
-		v.scheduled = make([]bool, n)
-	}
-	v.scheduled = v.scheduled[:n]
-	for i := range v.scheduled {
-		v.scheduled[i] = false
-	}
-	nt := len(sys.Threads)
-	if cap(v.next) < nt {
-		v.next = make([]int, nt)
-	}
-	v.next = v.next[:nt]
-	for i := range v.next {
-		v.next[i] = 0
-	}
-	clear(v.lockHeld)
-	clear(v.signalsSeen)
-	clear(v.broadcastsSeen)
-	clear(v.signalsConsumed)
 }

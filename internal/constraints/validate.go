@@ -6,7 +6,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
-	"repro/internal/trace"
 )
 
 // Witness is a validated model of the constraint system: the schedule
@@ -255,84 +254,23 @@ func (sys *System) CountSwitches(order []SAPRef) (switches, preemptions int) {
 
 // countSwitches is CountSwitches over a caller-held scratch; its state is
 // disjoint from the forward-pass half, so ValidateSchedule shares one
-// validator for both.
+// validator for both. The readiness rule is preemptState.ready, the same
+// one ExtensionSearch bounds.
 func (sys *System) countSwitches(v *validator, order []SAPRef) (switches, preemptions int) {
-	// preds[r] = hard-edge predecessors of r, cached on the system.
-	preds := sys.hardPredsTable()
-	v.resetForCount(sys, len(sys.SAPs))
-	scheduled := v.scheduled
-	next := v.next
-	// Replay-level blocking state: a thread whose next operation is a lock
-	// acquisition on a held mutex (or a wake without an eligible signal)
-	// cannot continue either — switching away from it is forced.
-	lockHeld := v.lockHeld
-	signalsSeen := v.signalsSeen
-	broadcastsSeen := v.broadcastsSeen
-	signalsConsumed := v.signalsConsumed
-	ready := func(t trace.ThreadID) bool {
-		refs := sys.Threads[t]
-		for k := next[t]; k < len(refs); k++ {
-			r := refs[k]
-			if scheduled[r] {
-				continue
-			}
-			ok := true
-			for _, p := range preds[r] {
-				if !scheduled[p] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			s := sys.SAPs[r]
-			switch s.Kind {
-			case symexec.SAPLock:
-				if lockHeld[s.Mutex] {
-					continue
-				}
-			case symexec.SAPWaitEnd:
-				if lockHeld[s.Mutex] {
-					continue
-				}
-				// Approximate eligibility: an unconsumed signal or any
-				// broadcast must exist.
-				if signalsConsumed[s.Cond] >= signalsSeen[s.Cond] && broadcastsSeen[s.Cond] == 0 {
-					continue
-				}
-			}
-			return true
-		}
-		return false
-	}
-	prev := trace.ThreadID(-1)
+	tab := sys.preemptTable()
+	p := &v.count
+	p.reset(sys, tab)
+	prev := -1
 	for _, r := range order {
-		s := sys.SAPs[r]
-		if prev >= 0 && s.Thread != prev {
+		t := int(sys.SAPs[r].Thread)
+		if prev >= 0 && t != prev {
 			switches++
-			if ready(prev) {
+			if p.ready(sys, tab, prev) {
 				preemptions++
 			}
 		}
-		scheduled[r] = true
-		switch s.Kind {
-		case symexec.SAPLock:
-			lockHeld[s.Mutex] = true
-		case symexec.SAPUnlock, symexec.SAPWaitBegin:
-			lockHeld[s.Mutex] = false
-		case symexec.SAPWaitEnd:
-			lockHeld[s.Mutex] = true
-			signalsConsumed[s.Cond]++
-		case symexec.SAPSignal:
-			signalsSeen[s.Cond]++
-		case symexec.SAPBroadcast:
-			broadcastsSeen[s.Cond]++
-		}
-		for next[s.Thread] < len(sys.Threads[s.Thread]) && scheduled[sys.Threads[s.Thread][next[s.Thread]]] {
-			next[s.Thread]++
-		}
-		prev = s.Thread
+		p.apply(sys, tab, r)
+		prev = t
 	}
 	return switches, preemptions
 }

@@ -60,6 +60,9 @@ type cachedSchedule struct {
 	Schema string               `json:"schema"`
 	Solver string               `json:"solver"`
 	Order  []constraints.SAPRef `json:"order"`
+	// LowerBound is the solve's proven preemption lower bound. Entries
+	// written before it existed decode as 0: an upper-bound label.
+	LowerBound int `json:"lower_bound,omitempty"`
 }
 
 func (c *DiskCache) path(key, kind string) string {
@@ -119,22 +122,24 @@ func (c *DiskCache) StorePreprocess(key string, snap *constraints.PreSnapshot) {
 	c.store(key, "pre", &cachedPre{Schema: CacheSchema, Snapshot: snap})
 }
 
-// LoadSchedule returns the cached schedule order for key (and the solver
-// that produced it), or nil on a miss.
-func (c *DiskCache) LoadSchedule(key string) ([]constraints.SAPRef, string) {
+// LoadSchedule returns the cached schedule order for key, the solver that
+// produced it and its proven preemption lower bound, or a nil order on a
+// miss.
+func (c *DiskCache) LoadSchedule(key string) (order []constraints.SAPRef, solverName string, lowerBound int) {
 	var e cachedSchedule
 	if !c.load(key, "sched", &e) || e.Schema != CacheSchema || len(e.Order) == 0 {
-		return nil, ""
+		return nil, "", 0
 	}
-	return e.Order, e.Solver
+	return e.Order, e.Solver, e.LowerBound
 }
 
-// StoreSchedule saves a solved schedule under key (best-effort).
-func (c *DiskCache) StoreSchedule(key string, order []constraints.SAPRef, solver string) {
-	if len(order) == 0 {
+// StoreSchedule saves a solved schedule, its minimality label and the
+// solver that produced it under key (best-effort).
+func (c *DiskCache) StoreSchedule(key string, sol *solver.Solution, solverName string) {
+	if len(sol.Order) == 0 {
 		return
 	}
-	c.store(key, "sched", &cachedSchedule{Schema: CacheSchema, Solver: solver, Order: order})
+	c.store(key, "sched", &cachedSchedule{Schema: CacheSchema, Solver: solverName, Order: sol.Order, LowerBound: sol.LowerBound})
 }
 
 // cachedSolve serves the solve stage from the schedule cache when the
@@ -146,7 +151,7 @@ func (c *DiskCache) StoreSchedule(key string, order []constraints.SAPRef, solver
 func cachedSolve(rep *Reproduction, sys *constraints.System, cache *DiskCache, key string, sp *obs.Span) *solver.Solution {
 	reg := rep.Trace.Reg()
 	start := time.Now()
-	order, by := cache.LoadSchedule(key)
+	order, by, lower := cache.LoadSchedule(key)
 	if order == nil {
 		reg.Counter("core.cache.miss").Add(1)
 		return nil
@@ -160,14 +165,18 @@ func cachedSolve(rep *Reproduction, sys *constraints.System, cache *DiskCache, k
 	asp := sp.Start("cache")
 	asp.SetAttr("solver", by)
 	asp.End()
+	// The label was proven for the stored count; min keeps it a true
+	// lower bound for whatever count the order validates to now.
+	lower = min(lower, w.Preemptions)
 	rep.Attempts = append(rep.Attempts, SolverAttempt{
 		Solver:       "cache",
 		Elapsed:      time.Since(start),
 		Outcome:      "solved",
 		BoundReached: -1,
 		Preemptions:  w.Preemptions,
+		LowerBound:   lower,
 	})
-	return &solver.Solution{Order: order, Witness: w, Preemptions: w.Preemptions}
+	return &solver.Solution{Order: w.Order, Witness: w, Preemptions: w.Preemptions, LowerBound: lower}
 }
 
 // lastSolver names the attempt that produced the solution — the trail's

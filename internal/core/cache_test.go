@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/constraints"
 	"repro/internal/obs"
+	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
@@ -130,7 +131,7 @@ func TestCachedScheduleRevalidated(t *testing.T) {
 	rec := recordSrc(t, cacheSrc, vm.SC)
 	key := rec.ContentKey()
 	// A wrong-length order: validation rejects it before anything trusts it.
-	cache.StoreSchedule(key, []constraints.SAPRef{0, 1, 2}, "bogus")
+	cache.StoreSchedule(key, &solver.Solution{Order: []constraints.SAPRef{0, 1, 2}}, "bogus")
 
 	hit, miss, attempts := cacheCounters(t, rec, cache)
 	if hit != 0 || miss != 2 {

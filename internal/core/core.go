@@ -2,13 +2,13 @@
 // Figure 1 of the paper:
 //
 //	record (thread-local paths) → decode → symbolic execution →
-//	constraint encoding → solving (sequential or parallel) → replay.
+//	constraint encoding → solving → replay.
 //
 // It is the library's primary entry point: give it a mini-language program
 // and it produces a recording of a failing execution, a constraint system,
-// a bug-reproducing schedule with (heuristically) minimal preemptions, and
-// a verified deterministic replay. The top-level clap package re-exports
-// this API.
+// a bug-reproducing schedule whose preemption count is proven minimal or
+// labelled an upper bound, and a verified deterministic replay. The
+// top-level clap package re-exports this API.
 package core
 
 import (
@@ -413,16 +413,19 @@ type SolverKind uint8
 
 // Solver kinds.
 const (
-	// Sequential is the decision-procedure solver with minimal-preemption
-	// iteration (internal/solver).
-	Sequential SolverKind = iota
-	// Parallel is the generate-and-validate worker pool (internal/parsolve).
+	// CNF, the zero value, is the production solve: one CNF session
+	// (internal/cnfsolver) finds a first schedule, then sweeps the
+	// preemption bound down with an exact bounded check, returning a
+	// schedule whose count is proven minimal or labelled an upper bound.
+	CNF SolverKind = iota
+	// Sequential is the paper's decision-procedure solver with
+	// minimal-preemption iteration (internal/solver), kept as a reference.
+	Sequential
+	// Parallel is the paper's generate-and-validate worker pool
+	// (internal/parsolve), kept as a reference.
 	Parallel
-	// CNF is the SAT encoding with a CDCL core (internal/cnfsolver).
-	CNF
-	// Portfolio tries Sequential under a budget, then Parallel, then CNF,
-	// recording a per-attempt trail; a panic or injected fault in one
-	// stage degrades to the next instead of killing the pipeline.
+	// Portfolio names the production solve too; clapd bundles and older
+	// callers select it by this name.
 	Portfolio
 )
 
@@ -444,7 +447,9 @@ func (k SolverKind) String() string {
 // ReproduceOptions configures the offline phases.
 type ReproduceOptions struct {
 	Solver SolverKind
-	// Sequential solver tuning.
+	// Sequential solver tuning. Its MaxPreemptions also caps the
+	// production sweep: a bound N > 0 makes the first schedule have at most
+	// N preemptions.
 	SeqOptions solver.Options
 	// Parallel solver tuning.
 	ParOptions parsolve.Options
@@ -455,14 +460,6 @@ type ReproduceOptions struct {
 	// CaptureReplay collects the replay's visible events into
 	// Outcome.Events — the replay lane of the flight-recorder timeline.
 	CaptureReplay bool
-	// NoPreprocess skips the shared constraint preprocessing pass
-	// (constraints.Preprocess) that every backend otherwise benefits
-	// from. Intended for baseline benchmarking and debugging.
-	NoPreprocess bool
-	// SerialPortfolio runs the portfolio stages strictly one after
-	// another (sequential, then parallel, then CNF) instead of racing
-	// them concurrently. Intended for baseline benchmarking.
-	SerialPortfolio bool
 	// Cache, when set, is the content-addressed artifact cache: the
 	// preprocessing snapshot and the solved schedule are loaded from (and
 	// stored to) it under CacheKey. Cached schedules are re-validated
@@ -542,15 +539,7 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 		tr = obs.NewTrace("clap")
 	}
 	rep := &Reproduction{Recording: rec, Trace: tr}
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline)
-	}
-	if opts.Ctx != nil {
-		if d, ok := opts.Ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-			deadline = d
-		}
-	}
+	deadline := absDeadline(opts.Ctx, opts.Deadline)
 	ssp := tr.Root().Start("symexec")
 	sys, err := rec.Analyze()
 	if err != nil {
@@ -568,26 +557,24 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 			cacheKey = rec.ContentKey()
 		}
 	}
-	if !opts.NoPreprocess {
-		psp := tr.Root().Start("preprocess")
-		applied := false
-		if opts.Cache != nil {
-			if snap := opts.Cache.LoadPreprocess(cacheKey); snap != nil && sys.ApplySnapshot(snap) {
-				tr.Reg().Counter("core.cache.hit").Add(1)
-				psp.SetAttr("cache", "hit")
-				emitPreStats(tr.Reg(), sys.Pre)
-				applied = true
-			}
+	psp := tr.Root().Start("preprocess")
+	applied := false
+	if opts.Cache != nil {
+		if snap := opts.Cache.LoadPreprocess(cacheKey); snap != nil && sys.ApplySnapshot(snap) {
+			tr.Reg().Counter("core.cache.hit").Add(1)
+			psp.SetAttr("cache", "hit")
+			emitPreStats(tr.Reg(), sys.Pre)
+			applied = true
 		}
-		if !applied {
-			emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
-			if opts.Cache != nil {
-				tr.Reg().Counter("core.cache.miss").Add(1)
-				opts.Cache.StorePreprocess(cacheKey, sys.Snapshot())
-			}
-		}
-		endStage(tr.Reg(), "preprocess", psp)
 	}
+	if !applied {
+		emitPreStats(tr.Reg(), sys.PreprocessObs(psp))
+		if opts.Cache != nil {
+			tr.Reg().Counter("core.cache.miss").Add(1)
+			opts.Cache.StorePreprocess(cacheKey, sys.Snapshot())
+		}
+	}
+	endStage(tr.Reg(), "preprocess", psp)
 
 	slv := tr.Root().Start("solve")
 	slv.SetAttr("kind", opts.Solver.String())
@@ -599,7 +586,7 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 	if sol == nil {
 		sol, err = solveStage(rep, sys, opts, deadline, slv)
 		if sol != nil && opts.Cache != nil {
-			opts.Cache.StoreSchedule(cacheKey, sol.Order, lastSolver(rep.Attempts))
+			opts.Cache.StoreSchedule(cacheKey, sol, lastSolver(rep.Attempts))
 		}
 	}
 	emitSolveSummary(tr.Reg(), rep.Attempts, sol)
@@ -611,6 +598,7 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 		return rep, err
 	}
 	slv.SetInt("preemptions", int64(sol.Preemptions))
+	slv.SetInt("lower_bound", int64(sol.LowerBound))
 	endStage(tr.Reg(), "solve", slv)
 	rep.Solution = sol
 
@@ -638,78 +626,6 @@ func Reproduce(rec *Recording, opts ReproduceOptions) (*Reproduction, error) {
 	return rep, nil
 }
 
-// solveStage dispatches to the selected solver, growing rep.Attempts and
-// the per-stage stats as it goes; every attempt becomes a child span of sp.
-func solveStage(rep *Reproduction, sys *constraints.System, opts ReproduceOptions, deadline time.Time, sp *obs.Span) (*solver.Solution, error) {
-	reg := rep.Trace.Reg()
-	switch opts.Solver {
-	case Sequential:
-		seqOpts := opts.SeqOptions
-		if seqOpts.MaxPreemptions == 0 {
-			// Default to minimal-preemption mode; an exact zero bound is
-			// available through the solver package directly.
-			seqOpts.MaxPreemptions = -1
-		}
-		wireSeq(&seqOpts, opts.Ctx, deadline)
-		wireProgress(reg, &seqOpts, nil, nil)
-		sol, att := runSolverStage(reg, "sequential", sp, func() (*solver.Solution, int, error) {
-			s, stats, err := solver.Solve(sys, seqOpts)
-			rep.SeqStats = stats
-			emitSeqStats(reg, stats)
-			return s, boundOf(stats), err
-		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
-	case Parallel:
-		parOpts := opts.ParOptions
-		wirePar(&parOpts, opts.Ctx, deadline)
-		wireProgress(reg, nil, &parOpts, nil)
-		sol, att := runSolverStage(reg, "parallel", sp, func() (*solver.Solution, int, error) {
-			res, err := parsolve.Solve(sys, parOpts)
-			rep.Parallel = res
-			emitParResult(reg, res)
-			if err != nil {
-				return nil, -1, err
-			}
-			if !res.Found() {
-				return nil, res.Bound, parallelFailure(res)
-			}
-			return bestSolution(res), res.Bound, nil
-		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
-	case CNF:
-		cnfOpts := opts.CNFOptions
-		wireCNF(&cnfOpts, opts.Ctx, deadline)
-		wireProgress(reg, nil, nil, &cnfOpts)
-		sol, att := runSolverStage(reg, "cnf", sp, func() (*solver.Solution, int, error) {
-			s, stats, err := cnfsolver.Solve(sys, cnfOpts)
-			rep.CNFStats = stats
-			emitCNFStats(reg, stats)
-			return s, -1, err
-		})
-		rep.Attempts = append(rep.Attempts, att)
-		if sol == nil {
-			return nil, attemptError("core", att)
-		}
-		return sol, nil
-	case Portfolio:
-		sol, attempts, err := runPortfolio(rep, sys, opts, deadline, sp)
-		rep.Attempts = attempts
-		if err != nil {
-			return nil, err
-		}
-		return sol, nil
-	}
-	return nil, fmt.Errorf("core: unknown solver kind %d", opts.Solver)
-}
-
 // Replay runs the final replay phase on rep.Solution, recording the
 // "replay" span and the replay.* metrics. It is the tail of Reproduce,
 // split out so callers that solved with SkipReplay — to post-process the
@@ -730,32 +646,6 @@ func (rep *Reproduction) Replay(ropts replay.Options) (*replay.Outcome, error) {
 	rep.Outcome = out
 	emitReplay(rep.Trace.Reg(), out)
 	return out, nil
-}
-
-// bestSolution picks the fewest-preemption schedule of a parallel result.
-func bestSolution(res *parsolve.Result) *solver.Solution {
-	best := res.Solutions[0]
-	for _, s := range res.Solutions[1:] {
-		if s.Preemptions < best.Preemptions {
-			best = s
-		}
-	}
-	return best
-}
-
-func parallelFailure(res *parsolve.Result) error {
-	if res.TimedOut || res.Cancelled {
-		return &solver.Interrupted{Reason: "parallel search cut short", Bound: res.Bound}
-	}
-	return fmt.Errorf("parallel solver found no schedule (generated %d, capped=%v)",
-		res.Generated, res.Capped)
-}
-
-func boundOf(stats *solver.Stats) int {
-	if stats == nil {
-		return -1
-	}
-	return stats.BoundReached
 }
 
 // ReproduceSource is the one-call convenience API: compile, record, solve,

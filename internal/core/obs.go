@@ -153,6 +153,7 @@ func emitSolveSummary(reg *obs.Registry, attempts []SolverAttempt, sol *solver.S
 	reg.Counter("solve.attempts").Add(int64(len(attempts)))
 	if sol != nil {
 		reg.Gauge("solve.preemptions").Set(int64(sol.Preemptions))
+		reg.Gauge("solve.preemptions.lower_bound").Set(int64(sol.LowerBound))
 		reg.Gauge("solve.schedule.len").Set(int64(len(sol.Order)))
 	}
 }

@@ -1,7 +1,7 @@
-// Deadline, cancellation and portfolio behaviour of the pipeline entry
+// Deadline, cancellation and containment behaviour of the pipeline entry
 // points: no phase may hang past its budget, interrupted runs must return
-// partial diagnostics, and injected solver failures must degrade to the
-// next portfolio stage.
+// partial diagnostics, and an injected solver fault or panic must end in a
+// typed error.
 package core
 
 import (
@@ -126,7 +126,7 @@ func TestRecordCtxCancelInterrupts(t *testing.T) {
 
 func TestReproduceDeadlineExpired(t *testing.T) {
 	rec := recordLostUpdate(t)
-	for _, kind := range []SolverKind{Sequential, Parallel, CNF, Portfolio} {
+	for _, kind := range []SolverKind{CNF, Sequential, Parallel, Portfolio} {
 		start := time.Now()
 		rep, err := Reproduce(rec, ReproduceOptions{Solver: kind, Deadline: time.Nanosecond})
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -182,94 +182,38 @@ func TestReproduceCNFKind(t *testing.T) {
 	}
 }
 
-// TestPortfolioRacesAllStages pins the concurrent portfolio's contract:
-// every stage appears in the trail in fixed ladder order no matter which
-// finished first, and at least one of them solved.
-func TestPortfolioRacesAllStages(t *testing.T) {
-	rec := recordLostUpdate(t)
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("portfolio did not reproduce")
-	}
-	want := []string{"sequential", "parallel", "cnf"}
-	if len(rep.Attempts) != len(want) {
-		t.Fatalf("racing portfolio should record all three stages: %+v", rep.Attempts)
-	}
-	solved := 0
-	for i, a := range rep.Attempts {
-		if a.Solver != want[i] {
-			t.Fatalf("attempt %d: want stage %q in the trail, got %+v", i, want[i], rep.Attempts)
-		}
-		if a.Outcome == "solved" {
-			solved++
-		}
-	}
-	if solved == 0 {
-		t.Fatalf("no stage solved: %+v", rep.Attempts)
-	}
-	if rep.SeqStats == nil {
-		t.Fatal("sequential stats missing from the report")
-	}
-}
-
-// TestPortfolioSerialPrefersSequential keeps the old ladder pinned: in
-// serial mode a healthy portfolio stops at the sequential stage.
-func TestPortfolioSerialPrefersSequential(t *testing.T) {
-	rec := recordLostUpdate(t)
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio, SerialPortfolio: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("serial portfolio did not reproduce")
-	}
-	if len(rep.Attempts) != 1 || rep.Attempts[0].Solver != "sequential" {
-		t.Fatalf("healthy serial portfolio should stop at the sequential stage: %+v", rep.Attempts)
-	}
-	if rep.SeqStats == nil {
-		t.Fatal("sequential stats missing from the report")
-	}
-}
-
-func TestPortfolioFallsBackOnInjectedFailure(t *testing.T) {
-	rec := recordLostUpdate(t)
-	faultinject.Fail("solver.sequential")
-	defer faultinject.Reset()
-	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Outcome.Reproduced {
-		t.Fatal("portfolio did not reproduce via fallback")
-	}
-	if len(rep.Attempts) < 2 || rep.Attempts[0].Outcome != "fault injected" {
-		t.Fatalf("attempt trail: %+v", rep.Attempts)
-	}
-	if rep.Attempts[1].Solver != "parallel" {
-		t.Fatalf("second stage should be parallel: %+v", rep.Attempts)
-	}
-}
-
+// TestPortfolioAllStagesFail: the production solve is the only stage, so
+// an injected solver.cnf fault fails the reproduction with a typed error
+// and a one-entry trail instead of falling back to another solver.
 func TestPortfolioAllStagesFail(t *testing.T) {
 	rec := recordLostUpdate(t)
-	faultinject.Fail("solver.sequential")
-	faultinject.Fail("solver.parallel")
 	faultinject.Fail("solver.cnf")
 	defer faultinject.Reset()
 	rep, err := Reproduce(rec, ReproduceOptions{Solver: Portfolio})
-	if err == nil {
-		t.Fatal("all stages injected to fail, yet the portfolio succeeded")
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("want the injected fault in the error chain, got %v", err)
 	}
-	if rep == nil || len(rep.Attempts) != 3 {
-		t.Fatalf("want a 3-entry attempt trail, got %+v", rep)
+	if rep == nil || len(rep.Attempts) != 1 {
+		t.Fatalf("want a 1-entry attempt trail, got %+v", rep)
 	}
-	for _, a := range rep.Attempts {
-		if a.Outcome != "fault injected" {
-			t.Fatalf("attempt %+v should be fault injected", a)
-		}
+	if a := rep.Attempts[0]; a.Solver != "cnf" || a.Outcome != "fault injected" {
+		t.Fatalf("attempt %+v should be the fault-injected cnf stage", a)
+	}
+}
+
+// TestSolverPanicIsTypedError: a panic inside the production stage is
+// recovered into a *SolverPanic error and a "panicked" attempt.
+func TestSolverPanicIsTypedError(t *testing.T) {
+	rec := recordLostUpdate(t)
+	faultinject.Enable("solver.cnf", faultinject.Failure{Panic: "injected solver panic"})
+	defer faultinject.Reset()
+	rep, err := Reproduce(rec, ReproduceOptions{})
+	var p *SolverPanic
+	if !errors.As(err, &p) || p.Solver != "cnf" {
+		t.Fatalf("want a *SolverPanic from the cnf stage, got %v", err)
+	}
+	if rep == nil || len(rep.Attempts) != 1 || rep.Attempts[0].Outcome != "panicked" {
+		t.Fatalf("panic not recorded in the trail: %+v", rep)
 	}
 }
 

@@ -8,7 +8,7 @@
 // mutation that broke the pipeline and replays it forever. The failure
 // hooks let tests force a solver stage (or any other registered point) to
 // fail or panic without reaching into its internals, proving that the
-// portfolio's degradation paths actually run.
+// pipeline's containment paths actually run.
 //
 // Production code pays one mutex-guarded map lookup per registered fire
 // point; with nothing armed, Fire returns nil immediately.

@@ -80,14 +80,15 @@ var StableNames = []string{
 	"sat.restarts", // Luby restarts across those calls
 	"sat.learnts",  // learnt clauses retained across those calls
 
-	// Solve outcome, whichever backend won.
+	// Solve outcome: the count is proven minimal when lower_bound equals it.
 	"solve.attempts",
 	"solve.preemptions",
+	"solve.preemptions.lower_bound",
 	"solve.schedule.len",
 
 	// Stage latency histograms: one observation per stage execution, in
 	// nanoseconds over the fixed exponential buckets (histogram.go). The
-	// stage.solve.<backend> family times individual portfolio attempts;
+	// stage.solve.<backend> family times individual solver attempts;
 	// stage.bench.* carries benchjson's per-iteration stage latencies.
 	"stage.record.ns",
 	"stage.symexec.ns",

@@ -106,8 +106,7 @@ func newSpan(name string) *Span {
 	return &Span{Name: name, StartNs: now.UnixNano(), DurNs: -1, start: now}
 }
 
-// Start opens a child span. Safe to call concurrently on one parent
-// (racing portfolio stages attach under the same "solve" span).
+// Start opens a child span. Safe to call concurrently on one parent.
 func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil

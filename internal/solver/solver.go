@@ -76,28 +76,17 @@ type Options struct {
 	// bounds exactly where the budgeted mapping search may thrash. Default
 	// 2_000_000 candidates; negative disables the pass.
 	GenEscalateBudget int
-	// RescueSweep, when set, is consulted by the minimal-mode rescue pass
-	// before the escalated enumeration: it is called once per
-	// still-undecided preemption bound, in ascending order, and should
-	// return a schedule with at most that many preemptions. Only a
-	// returned schedule is trusted; a nil result (with or without error)
-	// is inconclusive and the escalated enumerator still decides the
-	// bound. The portfolio wires the CNF session's bounded sweep (one
-	// reusable encoded session, retractable bound blocks) through this
-	// hook; the function value inverts the dependency, since cnfsolver
-	// imports this package.
-	RescueSweep func(bound int) (*Solution, error)
 	// BoundDecisionBudget caps mapping-search decisions per bound in
 	// minimal mode (default 60_000): rather than prove an infeasible low
-	// bound unsatisfiable exhaustively, the sweep moves on — minimality
-	// becomes approximate, matching the paper's own segment-based
-	// approximation of context switches.
+	// bound unsatisfiable exhaustively, the sweep moves on and the bound
+	// stays undecided (Stats.Undecided), so the count the sweep returns is
+	// an upper bound unless every lower bound was refuted exhaustively.
 	BoundDecisionBudget int64
 	// CapturePartial, when set, keeps a snapshot of the order graph's
 	// topological order at the deepest decision prefix the search reached,
 	// in Stats.Partial. For failed or interrupted solves this is the
-	// attempt's best partial schedule — the timeline layer renders losing
-	// portfolio attempts from it. Off by default (the snapshot costs one
+	// attempt's best partial schedule — the timeline layer renders failed
+	// attempts from it. Off by default (the snapshot costs one
 	// O(#SAPs) copy per new deepest prefix).
 	CapturePartial bool
 	// Progress, when set, receives periodic snapshots of the live search
@@ -146,6 +135,23 @@ type Solution struct {
 	Witness *constraints.Witness
 	// Preemptions is the schedule's preemptive context-switch count.
 	Preemptions int
+	// LowerBound is a proven lower bound on the preemptions of any
+	// schedule of the system: every bound below it was shown empty. The
+	// count is proven minimal when LowerBound == Preemptions; otherwise it
+	// is an upper bound. Zero, the weakest claim, is always true.
+	LowerBound int
+}
+
+// Proven reports whether Preemptions is proven minimal.
+func (s *Solution) Proven() bool { return s.LowerBound == s.Preemptions }
+
+// Minimality names a preemption count's claim: "proven" when the lower
+// bound reaches it, else "upper bound".
+func Minimality(preemptions, lowerBound int) string {
+	if lowerBound == preemptions {
+		return "proven"
+	}
+	return "upper bound"
 }
 
 // Stats reports search effort.
@@ -157,6 +163,15 @@ type Stats struct {
 	// BoundReached is the last preemption bound the search explored —
 	// partial-progress diagnostics for interrupted solves.
 	BoundReached int
+	// LowerBound is the minimal sweep's proven lower bound so far: every
+	// bound below it was refuted by exhaustive schedule enumeration. Only
+	// the enumeration is exhaustive; the mapping search that takes over
+	// above GenFallbackBound places rival writes heuristically and caps its
+	// extension walks, so its failures refute nothing.
+	LowerBound int
+	// Undecided counts the bounds the minimal sweep gave up on when
+	// BoundDecisionBudget ran out, and the enumeration did not settle.
+	Undecided int
 	// Partial is a SAP order consistent with every hard edge plus the
 	// decisions of the deepest prefix the search reached; PartialDepth is
 	// that prefix's decision depth. Captured only under
@@ -200,25 +215,41 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 	}
 	if opts.MaxPreemptions >= 0 {
 		s.stats.BoundReached = opts.MaxPreemptions
-		sol, err := s.solveWithBound(opts.MaxPreemptions)
+		sol, _, err := s.solveWithBound(opts.MaxPreemptions)
 		return sol, s.stats, err
 	}
 	// Minimal context switches: increase the bound until a solution
 	// appears (§4.2 "we can start from the constraint with zero thread
 	// context switch, and increment ... until a solution is found"). Each
 	// bound gets a bounded effort so one infeasible bound cannot stall the
-	// sweep.
+	// sweep; refuted[c] records an exhaustive refutation of bound c.
 	s.boundBudget = opts.BoundDecisionBudget
 	s.genCapped = make([]bool, opts.GenFallbackBound+1)
+	refuted := make([]bool, opts.MinimalSearchLimit+1)
+	budgetHit := make([]bool, opts.MinimalSearchLimit+1)
+	found := func(sol *Solution) (*Solution, *Stats, error) {
+		sol.LowerBound = s.stats.LowerBound
+		return sol, s.stats, nil
+	}
 	for c := 0; c <= opts.MinimalSearchLimit; c++ {
 		s.boundStart = s.stats.Decisions
+		s.boundCapped = false
 		s.stats.BoundReached = c
-		sol, err := s.solveWithBound(c)
+		sol, exhaustive, err := s.solveWithBound(c)
 		if err == nil {
-			return sol, s.stats, nil
+			return found(sol)
 		}
 		if _, ok := err.(*Unsat); !ok {
 			return nil, s.stats, err
+		}
+		if s.boundCapped {
+			budgetHit[c] = true
+			s.stats.Undecided++
+			continue
+		}
+		refuted[c] = exhaustive
+		if s.stats.LowerBound == c && exhaustive {
+			s.stats.LowerBound = c + 1
 		}
 	}
 	// Rescue pass: the sweep failed, but any low bound whose enumeration
@@ -228,21 +259,12 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 	// by streaming validation). Re-enumerate those bounds, in order, with
 	// the escalated budget; bounds the first pass proved empty stay proved.
 	if opts.GenEscalateBudget > 0 {
-		stillCapped := false
 		for c := 0; c <= min(opts.GenFallbackBound, opts.MinimalSearchLimit); c++ {
 			if !s.genCapped[c] {
 				continue
 			}
 			s.bound = c
 			s.stats.BoundReached = c
-			if opts.RescueSweep != nil {
-				if sol, err := opts.RescueSweep(c); err == nil && sol != nil {
-					return sol, s.stats, nil
-				}
-				// Nothing found (or the backend failed): inconclusive — the
-				// sweep is an approximation, so only the enumerator below
-				// can prove the bound empty.
-			}
 			sol, decided := s.tryGenerate(c, genLimits{
 				MaxSchedules: opts.GenEscalateBudget,
 				MaxCSPSets:   10_000_000,
@@ -252,18 +274,26 @@ func Solve(sys *constraints.System, opts Options) (*Solution, *Stats, error) {
 				return nil, s.stats, s.pendingIntr
 			}
 			if sol != nil {
-				return sol, s.stats, nil
+				return found(sol)
 			}
-			if !decided {
-				stillCapped = true
+			if decided {
+				refuted[c] = true
+				if budgetHit[c] {
+					budgetHit[c] = false
+					s.stats.Undecided--
+				}
 			}
 		}
-		if stillCapped {
-			// Even the escalated enumeration overflowed its budget, so the
-			// low bounds remain undecided — a generic "no schedule" verdict
-			// here would misreport budget exhaustion as unsatisfiability.
-			return nil, s.stats, fmt.Errorf("solver: rescue enumeration exhausted its budget with low preemption bounds undecided (escalate budget %d)", opts.GenEscalateBudget)
+		for s.stats.LowerBound <= opts.MinimalSearchLimit && refuted[s.stats.LowerBound] {
+			s.stats.LowerBound++
 		}
+	}
+	if s.stats.LowerBound <= opts.MinimalSearchLimit {
+		// Some bound was not refuted exhaustively: a generic "no schedule"
+		// verdict here would misreport budget exhaustion or a heuristic
+		// search's failure as unsatisfiability.
+		return nil, s.stats, fmt.Errorf("solver: bounds %d..%d undecided (escalate budget %d, %d bounds over the decision budget)",
+			s.stats.LowerBound, opts.MinimalSearchLimit, opts.GenEscalateBudget, s.stats.Undecided)
 	}
 	return nil, s.stats, &Unsat{Reason: fmt.Sprintf("no schedule within %d preemptions", opts.MinimalSearchLimit)}
 }
@@ -312,6 +342,9 @@ type search struct {
 	bound       int
 	boundBudget int64 // per-bound decision cap (minimal mode), 0 = off
 	boundStart  int64
+	// boundCapped records that the current bound's search ran out of
+	// boundBudget: its *Unsat leaves the bound undecided.
+	boundCapped bool
 	// genCapped[b] records that bound b's first-pass enumeration hit a
 	// budget cap (minimal mode only): such bounds were not decided
 	// exhaustively, so the rescue pass revisits them with the escalated
@@ -579,10 +612,13 @@ func (s *search) interrupted() *Interrupted {
 	return nil
 }
 
-func (s *search) solveWithBound(bound int) (*Solution, error) {
+// solveWithBound searches for a schedule within bound. On an *Unsat,
+// exhaustive reports whether the bound was refuted by exhaustive
+// enumeration rather than by the heuristic mapping search.
+func (s *search) solveWithBound(bound int) (sol *Solution, exhaustive bool, err error) {
 	s.bound = bound
 	if ierr := s.interrupted(); ierr != nil {
-		return nil, ierr
+		return nil, false, ierr
 	}
 	if bound <= s.opts.GenFallbackBound {
 		sol, decided := s.tryGenerate(bound, genLimits{
@@ -591,13 +627,13 @@ func (s *search) solveWithBound(bound int) (*Solution, error) {
 			MaxWalkNodes: 5_000_000,
 		})
 		if s.pendingIntr != nil {
-			return nil, s.pendingIntr
+			return nil, false, s.pendingIntr
 		}
 		if sol != nil {
-			return sol, nil
+			return sol, false, nil
 		}
 		if decided {
-			return nil, &Unsat{Reason: fmt.Sprintf("no schedule with %d preemptions (exhaustive)", bound)}
+			return nil, true, &Unsat{Reason: fmt.Sprintf("no schedule with %d preemptions (exhaustive)", bound)}
 		}
 		if s.genCapped != nil && bound < len(s.genCapped) {
 			s.genCapped[bound] = true
@@ -606,11 +642,8 @@ func (s *search) solveWithBound(bound int) (*Solution, error) {
 		// search, which scales to large bounds. In minimal mode the rescue
 		// pass may revisit this bound with the escalated budget.
 	}
-	sol, err := s.decide(0)
-	if err != nil {
-		return nil, err
-	}
-	return sol, nil
+	sol, err = s.decide(0)
+	return sol, false, err
 }
 
 // genLimits bounds one enumeration attempt (see schedule.Options for the
@@ -684,6 +717,9 @@ func (s *search) decide(i int) (*Solution, error) {
 		return nil, fmt.Errorf("solver: decision budget exceeded (%d)", s.opts.MaxDecisions)
 	}
 	if s.boundBudget > 0 && s.stats.Decisions-s.boundStart > s.boundBudget {
+		// Unwinds like a refutation, restoring the search state on the
+		// way up; boundCapped marks the bound undecided.
+		s.boundCapped = true
 		return nil, &Unsat{Reason: fmt.Sprintf("bound %d effort budget exhausted", s.bound)}
 	}
 	if s.opts.CapturePartial && i > s.maxDepth {

@@ -1,7 +1,7 @@
 // Package timeline is the pipeline's flight recorder: it turns the three
 // executions the reproduction touches — the recorded run, the solved SAP
-// schedule, and the deterministic replay — plus the losing portfolio
-// attempts' partial orders into one unified timeline artifact. The
+// schedule, and the deterministic replay — plus a failed sequential
+// attempt's partial order into one unified timeline artifact. The
 // artifact renders two ways: Chrome trace-event JSON (EncodeChrome;
 // loadable in Perfetto or chrome://tracing, one track per thread, spawn/
 // join and race-flip arrows as flow events) and a terminal ASCII view

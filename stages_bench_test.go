@@ -22,7 +22,7 @@ func stageSystem(b *testing.B, name string) (*bench.Prepared, *constraints.Syste
 	sys, ok := stageSystems[name]
 	if !ok {
 		var err error
-		sys, err = bench.FreshSystem(p, false)
+		sys, err = bench.FreshSystem(p)
 		if err != nil {
 			b.Fatal(err)
 		}
