@@ -90,9 +90,9 @@ race-record:
 	$(GO) test -race -count=1 -run '^TestRecord(DeadlineInterrupts|CtxCancelInterrupts|DeadlineStopsRunningSeed)$$' ./internal/core/
 
 # Race-detector pass over the production solve: the exact bounded check
-# against brute force, the cross-backend differential test over the
-# eleven benchmarks, and the sweep's anytime-deadline and typed-failure
-# tests.
+# and its explanation cores against brute force, the cross-backend
+# differential test over the eleven benchmarks, and the sweep's
+# anytime-deadline and typed-failure tests.
 race-solve:
 	$(GO) test -race -count=1 -run '^TestExtensionSearch' ./internal/constraints/
 	$(GO) test -race -count=1 -run '^TestSolveMinimal' ./internal/cnfsolver/

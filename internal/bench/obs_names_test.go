@@ -29,6 +29,9 @@ func TestObsNamesStable(t *testing.T) {
 			// the CDCL engine totals.
 			"solver.cnf.addr.rounds", "solver.cnf.addr.lemmas",
 			"solver.cnf.blocks.mapping",
+			// The bounded sweep's over-bound model blocks.
+			"solver.cnf.bound.refuted", "solver.cnf.bound.undecided",
+			"solver.cnf.bound.core_edges",
 			"solver.cnf.session.solves", "solver.cnf.session.reuse",
 			"sat.solves", "sat.restarts", "sat.learnts",
 			// The solve's minimality label.
@@ -80,6 +83,8 @@ func TestObsNamesStable(t *testing.T) {
 		for _, name := range []string{
 			"solver.cnf.lazy.rounds", "solver.cnf.lazy.lemmas",
 			"solver.cnf.session.solves", "sat.solves",
+			"solver.cnf.bound.refuted", "solver.cnf.bound.undecided",
+			"solver.cnf.bound.core_edges",
 		} {
 			if _, ok := gauges[name]; !ok {
 				t.Errorf("CNF run published no %q gauge", name)

@@ -44,13 +44,11 @@ func (sess *Session) boundedOrder(bound int) ([]constraints.SAPRef, constraints.
 }
 
 // blockOverBound forbids, under the shared bound group, the orientation
-// of a subset of the model's order edges whose DAG has no linear extension
-// within the running SolveBounded call's bound: the core the exact check
-// shrank the model to, so the clause also excludes every other model that
-// keeps those orientations. When the check was undecided there is no core,
-// and the block keeps the edges the others do not imply (no proof either
-// way, which boundUndecided records). RetractBlocks retires the group, so
-// a subsequent higher-bound sweep sees those models again.
+// of the core the refuting search used: model edges with no extension
+// within the SolveBounded call's bound, so the clause excludes every model
+// keeping them. An undecided check blocks the edges the others do not
+// imply (no proof either way, which boundUndecided records). RetractBlocks
+// retires the group, so a later higher-bound sweep sees the models again.
 func (sess *Session) blockOverBound(v constraints.ExtVerdict, bound int) {
 	e := sess.e
 	if sess.boundGroup == nil {
@@ -61,8 +59,10 @@ func (sess *Session) blockOverBound(v constraints.ExtVerdict, bound int) {
 	var keep []bool
 	if v == constraints.ExtNone {
 		keep = sess.ext.Core(bound)
+		sess.st.BoundRefuted++
 	} else {
 		sess.boundUndecided = true
+		sess.st.BoundUndecided++
 		keep = sess.ext.Implied()
 		for i := range keep {
 			keep[i] = !keep[i]
@@ -76,6 +76,9 @@ func (sess *Session) blockOverBound(v constraints.ExtVerdict, bound int) {
 		}
 	}
 	e.lemmaBuf = lits
+	if v == constraints.ExtNone {
+		sess.st.BoundCoreEdges += int64(len(lits))
+	}
 	sess.boundGroup.Add(lits...)
 	e.clauses++
 }

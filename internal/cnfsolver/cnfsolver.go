@@ -51,8 +51,8 @@ type Options struct {
 	// (≈ 10M transitivity clauses) and 2000 for the lazy one, whose n×n
 	// pair arena is the only quadratic cost.
 	MaxSAPs int
-	// MaxTheoryRounds bounds the lazy-refinement loop over value theory
-	// rejections (default 200).
+	// MaxTheoryRounds bounds the refinement loop's value-theory rejections
+	// and SolveBounded's over-bound model blocks (default 200).
 	MaxTheoryRounds int
 	// MaxLazyRounds bounds the inner transitivity-refinement loop per
 	// Solve call (default 5000). Each round adds at least one cycle lemma,
@@ -115,6 +115,9 @@ type Stats struct {
 	// blocks) plus the retractable BlockMapping class blocks — the third
 	// refinement kind next to cycle and address-split lemmas.
 	MappingBlocks int64
+	// BoundRefuted/BoundUndecided count SolveBounded's over-bound model
+	// blocks by verdict; BoundCoreEdges sums the refuted blocks' literals.
+	BoundRefuted, BoundUndecided, BoundCoreEdges int64
 	// Solves counts DPLL(T) entries on the session (Solve/SolveBounded
 	// calls); SessionReuse is the entries beyond the first, i.e. how often
 	// the encoded system was re-entered instead of rebuilt.
@@ -245,16 +248,6 @@ func NewSession(sys *constraints.System, opts Options) (*Session, error) {
 
 // Lazy reports whether the session uses the lazy-transitivity encoding.
 func (sess *Session) Lazy() bool { return !sess.e.eager }
-
-// SetOptions replaces the session's solving options — the budget fields
-// (Ctx, Deadline), the round limits and Progress. Encoding-time fields
-// (MaxSAPs, EagerTransitivity) were fixed at NewSession and are ignored
-// here. Callers re-entering one session under successively smaller wall
-// budgets (the rescue bound sweep) use this between Solve calls.
-func (sess *Session) SetOptions(opts Options) {
-	opts.fill()
-	sess.opts = opts
-}
 
 // Stats returns a snapshot of the session's cumulative statistics.
 func (sess *Session) Stats() Stats {

@@ -300,13 +300,12 @@ type ExtensionSearch struct {
 	// eid[k] is the AddEdge index of adjacency entry k, -1 for a hard edge.
 	eid []int32
 
-	// Core's subset: keep[i] says whether added edge i is in the DAG
-	// while masked, and cand lists the edges still being tried.
-	masked bool
-	keep   []bool
-	cand   []int32
+	blame bool // Core's replay: the search marks edges in core
+	core  []bool
+	inOff []int32 // in[inOff[r]:inOff[r+1]] are the added edges into r
+	in    []int32
 
-	// Implied's scratch.
+	// Implied's scratch (rank also serves Core).
 	implied []bool
 	rank    []int32
 	topo    []SAPRef
@@ -396,9 +395,6 @@ func (x *ExtensionSearch) Search(bound int) ([]SAPRef, int, ExtVerdict) {
 	x.entries, x.arena = x.entries[:0], x.arena[:0]
 	x.order = x.order[:0]
 	x.bestCost, x.states, x.limit, x.aborted = bound+1, 0, MaxExtensionStates+n, false
-	if x.masked {
-		x.limit = MaxExtensionStates/coreStateDivisor + n
-	}
 	x.dfs(-1, 0)
 	switch {
 	case x.bestCost <= bound:
@@ -419,9 +415,7 @@ func (x *ExtensionSearch) buildDAG() {
 		x.indeg[b]++
 	}
 	for i := range x.from {
-		if x.active(i) {
-			count(x.from[i], x.to[i])
-		}
+		count(x.from[i], x.to[i])
 	}
 	for _, e := range x.sys.HardEdges {
 		count(e[0], e[1])
@@ -441,95 +435,70 @@ func (x *ExtensionSearch) buildDAG() {
 		place(e[0], e[1], -1)
 	}
 	for i := range x.from {
-		if x.active(i) {
-			place(x.from[i], x.to[i], int32(i))
-		}
+		place(x.from[i], x.to[i], int32(i))
 	}
 }
 
-// active reports whether added edge i is in the DAG: all of them, except
-// while Core searches subsets.
-func (x *ExtensionSearch) active(i int) bool { return !x.masked || x.keep[i] }
-
-// maxCoreSearches caps the searches one Core call spends shrinking a DAG,
-// and each of them gets 1/coreStateDivisor of the state cap: a trial that
-// runs out keeps its edges, which only makes the core larger.
-const (
-	maxCoreSearches  = 16
-	coreStateDivisor = 4
-)
-
-// Core shrinks a DAG that Search(bound) just answered ExtNone for to a
-// subset of its added edges that, with the hard edges, still has no linear
-// extension within bound: it starts from the edges Implied does not mark
-// and drops halves, then quarters, and so on, of them while Search still
-// answers ExtNone, within maxCoreSearches searches. It returns, per added
-// edge, whether the subset keeps it. Every DAG that contains the subset
-// has no extension within bound either, so a solver can block the subset.
+// Core reports, per added edge, whether it is in a subset that with the
+// hard edges has no extension within bound, for a DAG Search(bound) refuted.
+// The search reads a DAG only through which scanned SAPs have in-degree 0,
+// so Core replays it and keeps one in-edge from an unscheduled SAP per
+// blocked candidate: the subset's search visits the same states and
+// refutes every DAG containing the subset.
 func (x *ExtensionSearch) Core(bound int) []bool {
-	implied := x.Implied()
-	x.keep = resize(x.keep, len(x.from))
-	cand := x.cand[:0]
-	for i := range x.from {
-		if !implied[i] {
-			x.keep[i] = true
-			cand = append(cand, int32(i))
+	x.buildDAG()
+	x.topoRank()
+	x.inOff = resize(x.inOff, len(x.indeg)+1)
+	for _, b := range x.to {
+		x.inOff[b]++
+	}
+	for i := range x.indeg {
+		x.inOff[i+1] += x.inOff[i]
+	}
+	x.in = resize(x.in, len(x.to))
+	for i := len(x.to) - 1; i >= 0; i-- { // inOff[r] walks back to r's start
+		x.inOff[x.to[i]]--
+		x.in[x.inOff[x.to[i]]] = int32(i)
+	}
+	x.core = resize(x.core, len(x.from))
+	x.blame = true
+	x.Search(bound)
+	x.blame = false
+	return x.core
+}
+
+// blameEdge keeps the blocked candidate r blocked in the core: it already is
+// if a hard predecessor or marked in-edge's source has not run; else it
+// marks the added in-edge whose unscheduled source is latest in Kahn order.
+func (x *ExtensionSearch) blameEdge(r SAPRef) {
+	for _, q := range x.tab.preds[r] {
+		if !x.st.scheduled[q] {
+			return
 		}
 	}
-	x.masked = true
-	searches := 0
-	for chunk := (len(cand) + 1) / 2; chunk >= 1 && searches < maxCoreSearches; chunk /= 2 {
-		for i := 0; i < len(cand) && searches < maxCoreSearches; {
-			end := min(i+chunk, len(cand))
-			for _, id := range cand[i:end] {
-				x.keep[id] = false
-			}
-			searches++
-			if _, _, v := x.Search(bound); v == ExtNone {
-				cand = append(cand[:i], cand[end:]...)
-				continue
-			}
-			for _, id := range cand[i:end] {
-				x.keep[id] = true
-			}
-			i = end
+	pick := int32(-1)
+	for _, id := range x.in[x.inOff[r]:x.inOff[r+1]] {
+		a := x.from[id]
+		switch {
+		case x.st.scheduled[a]:
+		case x.core[id]:
+			return
+		case pick < 0 || x.rank[a] > x.rank[x.from[pick]]:
+			pick = id
 		}
 	}
-	x.masked = false
-	x.cand = cand
-	return x.keep
+	x.core[pick] = true
 }
 
 // Implied reports, for each edge added since Reset (in AddEdge order),
 // whether the hard edges and the other added edges already imply it: the
 // edges it does not mark are a transitive reduction of the DAG, which has
-// the same linear extensions. A solver that blocks a DAG with no extension
-// within a bound needs only those edges, and that shorter clause also
-// excludes every other DAG containing them. A cyclic DAG marks nothing.
+// the same linear extensions. A cyclic DAG marks nothing.
 func (x *ExtensionSearch) Implied() []bool {
 	x.buildDAG()
 	n := len(x.sys.SAPs)
 	x.implied = resize(x.implied, len(x.from))
-	// Kahn's algorithm over a copy of the in-degrees gives the ranks.
-	x.rank = resize(x.rank, n)
-	x.topo = x.topo[:0]
-	deg := x.fill // buildDAG is done with it
-	copy(deg, x.indeg)
-	for r := 0; r < n; r++ {
-		if deg[r] == 0 {
-			x.topo = append(x.topo, SAPRef(r))
-		}
-	}
-	for i := 0; i < len(x.topo); i++ {
-		u := x.topo[i]
-		x.rank[u] = int32(i)
-		for _, v := range x.adj[x.off[u]:x.off[u+1]] {
-			if deg[v]--; deg[v] == 0 {
-				x.topo = append(x.topo, v)
-			}
-		}
-	}
-	if len(x.topo) < n {
+	if !x.topoRank() {
 		return x.implied
 	}
 	// reach[u] is the set of nodes u reaches, itself included, built in
@@ -573,6 +542,30 @@ func (x *ExtensionSearch) Implied() []bool {
 		x.succ = ks
 	}
 	return x.implied
+}
+
+// topoRank ranks buildDAG's DAG in Kahn order (topo) and reports acyclicity.
+func (x *ExtensionSearch) topoRank() bool {
+	n := len(x.sys.SAPs)
+	x.rank = resize(x.rank, n)
+	x.topo = x.topo[:0]
+	deg := x.fill // buildDAG is done with it
+	copy(deg, x.indeg)
+	for r := 0; r < n; r++ {
+		if deg[r] == 0 {
+			x.topo = append(x.topo, SAPRef(r))
+		}
+	}
+	for i := 0; i < len(x.topo); i++ {
+		u := x.topo[i]
+		x.rank[u] = int32(i)
+		for _, v := range x.adj[x.off[u]:x.off[u+1]] {
+			if deg[v]--; deg[v] == 0 {
+				x.topo = append(x.topo, v)
+			}
+		}
+	}
+	return len(x.topo) == n
 }
 
 // zobrist extends keys to n pseudo-random 64-bit values (splitmix64 of
@@ -621,6 +614,13 @@ func (x *ExtensionSearch) dfs(cur, cost int) {
 			x.available(t)
 		}
 	}
+	for t := 0; x.blame && t < len(sys.Threads); t++ {
+		for _, r := range x.scan(t) {
+			if !x.st.scheduled[r] && x.indeg[r] > 0 {
+				x.blameEdge(r)
+			}
+		}
+	}
 	switchCost := 0
 	if cur >= 0 && x.st.ready(sys, x.tab, cur) {
 		switchCost = 1
@@ -652,15 +652,19 @@ func (x *ExtensionSearch) dfs(cur, cost int) {
 	}
 }
 
+// scan returns thread t's SAPs from its first unscheduled one to its scan end.
+func (x *ExtensionSearch) scan(t int) []SAPRef {
+	refs := x.sys.Threads[t]
+	if k := x.st.next[t]; int(k) < len(refs) {
+		return refs[k:x.tab.scanEnd[refs[k]]]
+	}
+	return nil
+}
+
 // available appends thread t's SAPs whose predecessors have all run.
 func (x *ExtensionSearch) available(t int) {
-	refs := x.sys.Threads[t]
-	k := int(x.st.next[t])
-	if k >= len(refs) {
-		return
-	}
-	for end := int(x.tab.scanEnd[refs[k]]); k < end; k++ {
-		if r := refs[k]; !x.st.scheduled[r] && x.indeg[r] == 0 {
+	for _, r := range x.scan(t) {
+		if !x.st.scheduled[r] && x.indeg[r] == 0 {
 			x.cands = append(x.cands, r)
 		}
 	}

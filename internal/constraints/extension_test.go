@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -231,5 +232,99 @@ func TestExtensionSearchCyclicDAG(t *testing.T) {
 	x.AddEdge(b, a)
 	if _, _, v := x.Search(len(sys.SAPs)); v != ExtNone {
 		t.Fatalf("cyclic DAG answered %v", v)
+	}
+}
+
+// TestExtensionSearchCoreRefutes is Core's oracle: over the random
+// systems of TestExtensionSearchMatchesBruteForce and one fixed TSO
+// system, whenever Search(k) answers ExtNone, the hard edges plus Core(k)
+// still have no extension with at most k preemptions by brute force, and
+// the exact check over them repeats the refuting search state for state.
+// Some DAGs carry an added edge that duplicates a hard edge; Core never
+// needs it, since the hard edge blocks the same candidates.
+func TestExtensionSearchCoreRefutes(t *testing.T) {
+	var x, y ExtensionSearch
+	checked, shrunk, dups := 0, 0, 0
+	check := func(name string, sys *System, edges [][2]SAPRef) {
+		hard := map[[2]SAPRef]bool{}
+		for _, e := range sys.HardEdges {
+			hard[e] = true
+		}
+		for k := 0; k <= len(sys.SAPs); k++ {
+			x.Reset(sys)
+			for _, e := range edges {
+				x.AddEdge(e[0], e[1])
+			}
+			if _, _, v := x.Search(k); v != ExtNone {
+				return
+			}
+			states := x.states
+			var core [][2]SAPRef
+			for id, in := range x.Core(k) {
+				if !in {
+					continue
+				}
+				if hard[edges[id]] {
+					t.Fatalf("%s bound %d: core keeps added edge %v, a duplicate of a hard edge", name, k, edges[id])
+				}
+				core = append(core, edges[id])
+			}
+			for _, e := range edges {
+				if hard[e] {
+					dups++
+					break
+				}
+			}
+			y.Reset(sys)
+			for _, e := range core {
+				y.AddEdge(e[0], e[1])
+			}
+			if _, _, v := y.Search(k); v != ExtNone || y.states != states {
+				t.Fatalf("%s bound %d: core search answered %v in %d states, the refuting search ExtNone in %d", name, k, v, y.states, states)
+			}
+			if got := bruteMin(sys, core, 20_000); got >= 0 && got <= k {
+				t.Fatalf("%s bound %d: the %d-edge core has an extension with %d preemptions", name, k, len(core), got)
+			} else if got >= 0 {
+				checked++
+			}
+			if len(core) < len(edges) {
+				shrunk++
+			}
+		}
+	}
+
+	// Thread 0 is W x; W x; R y under TSO: the read may pass both writes,
+	// so the search scans the second write while the first has not run,
+	// a candidate blocked only by the hard edge, which the DAG duplicates.
+	sys := &System{Model: vm.TSO, Threads: make([][]SAPRef, 2)}
+	for _, s := range []*symexec.SAP{
+		{Thread: 0, Kind: symexec.SAPWrite, Var: 0},
+		{Thread: 0, Seq: 1, Kind: symexec.SAPWrite, Var: 0},
+		{Thread: 0, Seq: 2, Kind: symexec.SAPRead, Var: 1, Addr: 1},
+		{Thread: 1, Kind: symexec.SAPWrite, Var: 1, Addr: 1},
+		{Thread: 1, Seq: 1, Kind: symexec.SAPRead, Var: 0},
+	} {
+		sys.Threads[s.Thread] = append(sys.Threads[s.Thread], SAPRef(len(sys.SAPs)))
+		sys.SAPs = append(sys.SAPs, s)
+	}
+	sys.HardEdges = [][2]SAPRef{{0, 1}}
+	check("fixed TSO", sys, [][2]SAPRef{{4, 0}, {2, 3}, {0, 1}})
+	if checked != 1 || dups != 1 {
+		t.Fatalf("fixed TSO system: %d refuted cores checked, want 1", checked)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for _, model := range []vm.MemModel{vm.SC, vm.TSO, vm.PSO} {
+		for i := 0; i < 80; i++ {
+			sys := randomSyncSystem(rng, model)
+			edges := randomDAG(rng, sys, rng.Float64()*0.3)
+			if rng.Intn(2) == 0 {
+				edges = append(edges, sys.HardEdges[rng.Intn(len(sys.HardEdges))])
+			}
+			check(fmt.Sprintf("%v case %d", model, i), sys, edges)
+		}
+	}
+	if checked < 80 || shrunk < checked/2 || dups < 20 {
+		t.Fatalf("%d refuted cores checked by brute force, %d smaller than their DAG, %d DAGs with a duplicated hard edge", checked, shrunk, dups)
 	}
 }

@@ -125,6 +125,9 @@ func emitCNFStats(reg *obs.Registry, st *cnfsolver.Stats) {
 	reg.Gauge("solver.cnf.addr.rounds").Set(st.AddrRounds)
 	reg.Gauge("solver.cnf.addr.lemmas").Set(st.AddrLemmas)
 	reg.Gauge("solver.cnf.blocks.mapping").Set(st.MappingBlocks)
+	reg.Gauge("solver.cnf.bound.refuted").Set(st.BoundRefuted)
+	reg.Gauge("solver.cnf.bound.undecided").Set(st.BoundUndecided)
+	reg.Gauge("solver.cnf.bound.core_edges").Set(st.BoundCoreEdges)
 	reg.Gauge("solver.cnf.session.solves").Set(st.Solves)
 	reg.Gauge("solver.cnf.session.reuse").Set(st.SessionReuse())
 	reg.Gauge("solver.cnf.sat.conflicts").Set(st.SATConflicts)

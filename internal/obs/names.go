@@ -63,13 +63,16 @@ var StableNames = []string{
 	"solver.cnf.boolvars",
 	"solver.cnf.clauses",
 	"solver.cnf.rounds",
-	"solver.cnf.lazy.rounds",    // lazy-transitivity refinement iterations
-	"solver.cnf.lazy.lemmas",    // cycle lemmas those iterations learned
-	"solver.cnf.addr.rounds",    // address-split refinement iterations
-	"solver.cnf.addr.lemmas",    // choice-premised lemmas those iterations learned
-	"solver.cnf.blocks.mapping", // mapping-class blocking clauses added
-	"solver.cnf.session.solves", // DPLL(T) entries on the session
-	"solver.cnf.session.reuse",  // entries that re-entered a live session
+	"solver.cnf.lazy.rounds",      // lazy-transitivity refinement iterations
+	"solver.cnf.lazy.lemmas",      // cycle lemmas those iterations learned
+	"solver.cnf.addr.rounds",      // address-split refinement iterations
+	"solver.cnf.addr.lemmas",      // choice-premised lemmas those iterations learned
+	"solver.cnf.blocks.mapping",   // mapping-class blocking clauses added
+	"solver.cnf.bound.refuted",    // over-bound models the exact check refuted
+	"solver.cnf.bound.undecided",  // over-bound models whose check hit its cap
+	"solver.cnf.bound.core_edges", // literals in the refuted models' blocks
+	"solver.cnf.session.solves",   // DPLL(T) entries on the session
+	"solver.cnf.session.reuse",    // entries that re-entered a live session
 	"solver.cnf.sat.conflicts",
 	"solver.cnf.sat.decisions",
 	"solver.cnf.sat.propagations",
